@@ -23,6 +23,7 @@ persistence) from flow connection ids, mirroring what a pcap exposes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.analysis.proxy import FlowRecord
@@ -36,6 +37,7 @@ from repro.manifest import (
     parse_sidx,
 )
 from repro.media.track import StreamType
+from repro.util import non_decreasing
 
 # Heuristic threshold separating audio-only from video tracks when the
 # manifest is unreadable and only sidx data is available.
@@ -88,6 +90,32 @@ class _TrackView:
     from_sidx_only: bool = False
     segments: list[_SegmentRange] = field(default_factory=list)
     level: int = 0  # reassigned as tracks are discovered
+    # (segment count, range starts or None when unsorted, range ends);
+    # segments are only ever appended, so the count dates the index.
+    _range_index: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def ranges_meeting(self, start: int, end: int) -> list[_SegmentRange]:
+        """Segments that may share a byte with ``start..end``, in order.
+
+        When range starts and range ends both never decrease along
+        ``segments``, the segments with ``range_end >= start`` and
+        ``range_start <= end`` form one slice, found by bisection;
+        otherwise every segment is returned for the caller's own test.
+        """
+        segments = self.segments
+        index = self._range_index
+        if index is None or index[0] != len(segments):
+            starts = [rng.range_start for rng in segments]
+            ends = [rng.range_end for rng in segments]
+            ordered = non_decreasing(starts) and non_decreasing(ends)
+            index = (len(segments), starts if ordered else None, ends)
+            self._range_index = index
+        _, starts, ends = index
+        if starts is None:
+            return segments
+        return segments[bisect_left(ends, start):bisect_right(starts, end)]
 
 
 class TrafficAnalyzer:
@@ -292,7 +320,7 @@ class TrafficAnalyzer:
             self.unattributed_media_bytes += flow.size_bytes or 0
             return
         start, end = flow.byte_range
-        for rng in track.segments:
+        for rng in track.ranges_meeting(start, end):
             overlap = min(end, rng.range_end) - max(start, rng.range_start) + 1
             if overlap <= 0:
                 continue
@@ -373,7 +401,7 @@ class TrafficAnalyzer:
         if track is None or byte_range is None or not track.segments:
             return None
         start, end = byte_range
-        for rng in track.segments:
+        for rng in track.ranges_meeting(start, end):
             if start <= rng.range_end and end >= rng.range_start:
                 return (track.stream_type, track.level, rng.index, rng.start_s)
         return None

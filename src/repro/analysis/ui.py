@@ -12,6 +12,7 @@ import bisect
 from dataclasses import dataclass
 
 from repro.player.events import ProgressSample
+from repro.util import non_decreasing
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,10 @@ class UiMonitor:
     def __init__(self, samples: list[ProgressSample]):
         self.samples = sorted(samples, key=lambda sample: sample.at)
         self._times = [sample.at for sample in self.samples]
+        positions = [sample.position_s for sample in self.samples]
+        # Bisectable only while the seekbar never moves backwards (no
+        # backward seek).
+        self._positions = positions if non_decreasing(positions) else None
 
     # -- playback progress ---------------------------------------------------
 
@@ -50,6 +55,13 @@ class UiMonitor:
 
     def time_position_crossed(self, position_s: float) -> float | None:
         """First sample time at which the seekbar reached ``position_s``."""
+        positions = self._positions
+        if positions is not None:
+            target = position_s - 1e-9
+            i = bisect.bisect_left(positions, target)
+            if i < len(positions) and positions[i] >= target:
+                return self.samples[i].at
+            return None
         for sample in self.samples:
             if sample.position_s >= position_s - 1e-9:
                 return sample.at

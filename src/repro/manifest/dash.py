@@ -35,6 +35,11 @@ _SIDX_COUNTS = struct.Struct(">HH")
 _SIDX_REFERENCE = struct.Struct(">III")
 
 
+def _sidx_size(reference_count: int) -> int:
+    return (_SIDX_HEADER.size + _SIDX_COUNTS.size
+            + _SIDX_REFERENCE.size * reference_count)
+
+
 @dataclass(frozen=True)
 class SidxReference:
     """One subsegment reference inside a sidx box."""
@@ -70,9 +75,7 @@ class SidxBox:
 
     @property
     def size_bytes(self) -> int:
-        return _SIDX_HEADER.size + _SIDX_COUNTS.size + (
-            _SIDX_REFERENCE.size * len(self.references)
-        )
+        return _sidx_size(len(self.references))
 
     def encode(self) -> bytes:
         header = _SIDX_HEADER.pack(
@@ -173,7 +176,8 @@ class DashBuilder:
         return SidxBox(timescale=self.timescale, references=references)
 
     def header_size(self, track: Track) -> int:
-        return self.sidx(track).size_bytes
+        # The size of sidx(track), which holds one reference per segment.
+        return _sidx_size(len(track.segments))
 
     def media_file_size(self, track: Track) -> int:
         return self.header_size(track) + track.total_bytes
@@ -275,11 +279,15 @@ class DashBuilder:
             if seg.index == 0:
                 element["t"] = "0"
             ElementTree.SubElement(timeline, "S", element)
+        # Each range must equal byte_range_of(track, seg.index): the
+        # header, then the sizes of the earlier segments.
+        start = self.header_size(track)
         for seg in track.segments:
-            start, end = self.byte_range_of(track, seg.index)
+            end = start + seg.size_bytes - 1
             ElementTree.SubElement(
                 segment_list, "SegmentURL", {"mediaRange": f"{start}-{end}"}
             )
+            start = end + 1
 
 
 def _format_duration(seconds: float) -> str:

@@ -15,14 +15,21 @@ modes:
 Out-of-order arrival (parallel connections) is supported: segments may
 be inserted at any future index; *occupancy* counts only the contiguous
 run ahead of the playhead, because a hole stalls the renderer.
+
+Queries run against a sorted index of the buffer (DESIGN.md section
+4k), so the player's per-tick questions cost a bisection instead of a
+walk over the buffer.  Every mutation bumps a counter, and the first
+query after it rebuilds the index.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.media.track import StreamType
-from repro.util import check_non_negative
+from repro.util import check_non_negative, non_decreasing
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,44 @@ class MidReplacementUnsupported(RuntimeError):
     buffer (the ExoPlayer limitation, section 4.1.2)."""
 
 
+class _BufferIndex:
+    """The buffer at one mutation count, in index order.
+
+    ``starts``/``ends`` hold each segment's covering bounds exactly as
+    the coverage test computes them (``start_s - 1e-9`` and
+    ``end_s - 1e-9``).  ``runs[i]`` is ``keys[i] - i``, constant exactly
+    along a gap-free run of indexes, so the run holding position ``i``
+    ends at ``bisect_right(runs, runs[i]) - 1``.  ``separated`` says the
+    bounds never decrease along the index order, so at most one segment
+    covers any position and bisection finds it; otherwise (intervals
+    overlapping by an ulp, negative durations, NaN) coverage takes the
+    insertion-order scan.  ``first_end`` is the earliest ``end_s``.
+    """
+
+    __slots__ = (
+        "mutations", "keys", "segments", "starts", "ends", "runs",
+        "separated", "first_end",
+    )
+
+    def __init__(self, segments: dict[int, BufferedSegment], mutations: int):
+        self.mutations = mutations
+        self.keys = keys = sorted(segments)
+        self.segments = ordered = [segments[key] for key in keys]
+        segment_ends = [segment.end_s for segment in ordered]
+        self.starts = [segment.start_s - 1e-9 for segment in ordered]
+        self.ends = [end - 1e-9 for end in segment_ends]
+        bounds = [0.0] * (2 * len(keys))
+        bounds[::2] = self.starts
+        bounds[1::2] = self.ends
+        self.separated = non_decreasing(bounds)
+        self.runs = [key - i for i, key in enumerate(keys)]
+        self.first_end = min(segment_ends, default=math.inf)
+
+    def run_tail(self, i: int) -> int:
+        """Position of the last segment of the run holding position ``i``."""
+        return bisect_right(self.runs, self.runs[i]) - 1
+
+
 class PlaybackBuffer:
     """Buffered media for one stream (video or audio)."""
 
@@ -56,6 +101,27 @@ class PlaybackBuffer:
         self._segments: dict[int, BufferedSegment] = {}
         self.discarded_segments: list[BufferedSegment] = []
         self.total_inserted_bytes = 0
+        self.mutations = 0
+        self._built = _BufferIndex(self._segments, 0)
+
+    def _index(self) -> _BufferIndex:
+        if self._built.mutations != self.mutations:
+            self._built = _BufferIndex(self._segments, self.mutations)
+        return self._built
+
+    def _cover(self, position_s: float) -> tuple[_BufferIndex, int]:
+        """The index and the position in it of the segment covering
+        ``position_s`` (-1 when none does)."""
+        index = self._index()
+        if index.separated:
+            i = bisect_right(index.starts, position_s) - 1
+            if i >= 0 and position_s < index.ends[i]:
+                return index, i
+            return index, -1
+        for segment in self._segments.values():
+            if segment.start_s - 1e-9 <= position_s < segment.end_s - 1e-9:
+                return index, bisect_left(index.keys, segment.index)
+        return index, -1
 
     # -- inspection ----------------------------------------------------------
 
@@ -70,36 +136,39 @@ class PlaybackBuffer:
 
     def segments(self) -> list[BufferedSegment]:
         """All buffered segments in index order."""
-        return [self._segments[i] for i in sorted(self._segments)]
+        return list(self._index().segments)
 
     def segment_covering(self, position_s: float) -> BufferedSegment | None:
-        for segment in self._segments.values():
-            if segment.start_s - 1e-9 <= position_s < segment.end_s - 1e-9:
-                return segment
-        return None
+        index, i = self._cover(position_s)
+        return index.segments[i] if i >= 0 else None
 
-    def contiguous_run_from(self, position_s: float) -> list[BufferedSegment]:
-        """Segments playable without a gap starting at ``position_s``."""
-        first = self.segment_covering(position_s)
-        if first is None:
-            return []
-        run = [first]
-        index = first.index + 1
-        while index in self._segments:
-            run.append(self._segments[index])
-            index += 1
-        return run
+    def run_end_s(self, position_s: float) -> float | None:
+        """Where the content playable without a gap from ``position_s``
+        ends, or None when no segment covers ``position_s``."""
+        index, i = self._cover(position_s)
+        if i < 0:
+            return None
+        return index.segments[index.run_tail(i)].end_s
 
     def occupancy_s(self, position_s: float) -> float:
         """Seconds of contiguously playable content ahead of the playhead."""
         check_non_negative("position_s", position_s)
-        run = self.contiguous_run_from(position_s)
-        if not run:
+        end = self.run_end_s(position_s)
+        if end is None:
             return 0.0
-        return run[-1].end_s - position_s
+        return end - position_s
 
     def contiguous_segment_count(self, position_s: float) -> int:
-        return len(self.contiguous_run_from(position_s))
+        index, i = self._cover(position_s)
+        if i < 0:
+            return 0
+        return index.run_tail(i) - i + 1
+
+    def last_contiguous_index(self, index: int) -> int:
+        """Highest index of the gap-free run of buffered indexes that
+        holds the buffered index ``index``."""
+        built = self._index()
+        return built.keys[built.run_tail(bisect_left(built.keys, index))]
 
     def has_content_at(self, position_s: float) -> bool:
         return self.segment_covering(position_s) is not None
@@ -123,6 +192,7 @@ class PlaybackBuffer:
             )
         self._segments[segment.index] = segment
         self.total_inserted_bytes += segment.size_bytes
+        self.mutations += 1
 
     def replace_single(self, segment: BufferedSegment) -> BufferedSegment:
         """Swap one mid-buffer segment for a fresh download.
@@ -140,6 +210,7 @@ class PlaybackBuffer:
         self._segments[segment.index] = segment
         self.discarded_segments.append(old)
         self.total_inserted_bytes += segment.size_bytes
+        self.mutations += 1
         return old
 
     def discard_tail_from(self, index: int) -> list[BufferedSegment]:
@@ -148,16 +219,21 @@ class PlaybackBuffer:
             self._segments.pop(i) for i in sorted(self._segments) if i >= index
         ]
         self.discarded_segments.extend(dropped)
+        self.mutations += 1
         return dropped
 
     def clear(self) -> list[BufferedSegment]:
         """Drop everything (seek outside the buffered range)."""
         dropped = [self._segments.pop(i) for i in sorted(self._segments)]
         self.discarded_segments.extend(dropped)
+        self.mutations += 1
         return dropped
 
     def consume_until(self, position_s: float) -> list[BufferedSegment]:
         """Release fully played segments (renderer side of the deque)."""
+        index = self._index()
+        if index.separated and not index.first_end <= position_s + 1e-9:
+            return []  # no segment ends by position_s
         finished = [
             segment
             for segment in self._segments.values()
@@ -165,4 +241,6 @@ class PlaybackBuffer:
         ]
         for segment in finished:
             del self._segments[segment.index]
+        if finished:
+            self.mutations += 1
         return sorted(finished, key=lambda segment: segment.index)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_right
 from typing import Optional
 
 from repro.manifest import (
@@ -72,7 +73,7 @@ from repro.player.scheduler import (
     SplitScheduler,
     SyncedAvScheduler,
 )
-from repro.util import DeterministicRng, derive_seed
+from repro.util import DeterministicRng, derive_seed, non_decreasing
 
 _EPS = 1e-9
 
@@ -188,6 +189,12 @@ class Player:
         self._next_ui_at = 0.0
         self._content_end: float | None = None
         self._ever_started = False
+        # id(timeline) -> (timeline, its end_s - _EPS list, or None when
+        # those ends decrease somewhere); holding the timeline keeps its
+        # id from being reused.  See _index_covering.
+        self._timeline_ends: dict[
+            int, tuple[list[ClientSegmentInfo], list[float] | None]
+        ] = {}
 
     # -- public inspection --------------------------------------------------
 
@@ -640,8 +647,8 @@ class Player:
         """How far playback may advance through contiguous content."""
         limit = math.inf
         for stream in self._streams():
-            run = self.buffers[stream].contiguous_run_from(self._play_pos)
-            limit = min(limit, run[-1].end_s if run else self._play_pos)
+            end = self.buffers[stream].run_end_s(self._play_pos)
+            limit = min(limit, self._play_pos if end is None else end)
         if self._content_end is not None:
             limit = min(limit, self._content_end)
         return limit
@@ -1124,6 +1131,21 @@ class Player:
         return None
 
     def _index_covering(self, timeline: list[ClientSegmentInfo], pos: float) -> int:
+        """Index of the first segment ending after ``pos`` (the last
+        segment when none does).
+
+        Bisects the timeline's ``end_s - _EPS`` list, built once per
+        timeline object (timelines are replaced, never edited); a
+        timeline whose ends ever decrease takes the scan.
+        """
+        entry = self._timeline_ends.get(id(timeline))
+        if entry is None:
+            ends = [segment.end_s - _EPS for segment in timeline]
+            entry = (timeline, ends if non_decreasing(ends) else None)
+            self._timeline_ends[id(timeline)] = entry
+        ends = entry[1]
+        if ends is not None:
+            return timeline[min(bisect_right(ends, pos), len(ends) - 1)].index
         for segment in timeline:
             if pos < segment.end_s - _EPS:
                 return segment.index
@@ -1137,8 +1159,13 @@ class Player:
         pending = self._pending[stream]
         skipped = self._skipped[stream]
         index = self._index_covering(timeline, self._play_pos)
-        while index in buffer or index in pending or index in skipped:
-            index += 1
+        while True:
+            if index in buffer:
+                index = buffer.last_contiguous_index(index) + 1
+            elif index in pending or index in skipped:
+                index += 1
+            else:
+                break
         if index > timeline[-1].index:
             return None
         return index

@@ -9,7 +9,12 @@ from repro.util.units import (
     to_kbps,
     to_mbps,
 )
-from repro.util.validation import check_non_negative, check_positive, check_probability
+from repro.util.validation import (
+    check_non_negative,
+    check_positive,
+    check_probability,
+    non_decreasing,
+)
 
 __all__ = [
     "DeterministicRng",
@@ -23,4 +28,5 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_probability",
+    "non_decreasing",
 ]

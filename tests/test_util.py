@@ -14,6 +14,7 @@ from repro.util import (
     derive_seed,
     kbps,
     mbps,
+    non_decreasing,
     to_kbps,
     to_mbps,
 )
@@ -126,3 +127,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_probability("p", 1.01)
         assert not math.isnan(check_probability("p", 0.0))
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ([], True),
+            ([1.0, 1.0, 2.0], True),
+            ([0, 5, 5, 9], True),
+            ([1.0, 0.5], False),
+            # NaN compares false both ways, so sorting may keep it in
+            # place; it must still count as a decrease.
+            ([0.0, 4.0, math.nan, 8.0], False),
+            ([math.nan], False),
+            # Both infinities sum to NaN: refused, which is only slower.
+            ([-math.inf, math.inf], False),
+        ],
+    )
+    def test_non_decreasing(self, values, expected):
+        assert non_decreasing(values) is expected
