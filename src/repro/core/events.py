@@ -220,10 +220,12 @@ class EventLoopCore:
     """Queue plumbing shared by the single- and multi-session loops.
 
     Requires the host to provide ``clock``, ``network``, ``queue``,
-    ``max_queue_depth``, ``_limit`` and ``_job_estimates``.  Keeping one
-    implementation of fault registration, estimate management and
-    stale-event skimming is part of the byte-identity argument: both
-    engines batch under exactly the same event semantics.
+    ``max_queue_depth`` and ``_limit``; each host owns its estimate
+    dicts (one per session, or one per client on a shared link).
+    Keeping one implementation of fault registration, estimate
+    management and stale-event skimming is part of the byte-identity
+    argument: both engines batch under exactly the same event
+    semantics.
     """
 
     def _register_fault_events(self) -> None:
@@ -270,19 +272,27 @@ class EventLoopCore:
                 continue
             return head.time if head is not None else math.inf
 
-    def _sync_job_estimates_for(self, jobs) -> None:
+    def _sync_job_estimates_for(
+        self, jobs, estimates: dict[int, Event], share: float | None = None
+    ) -> float | None:
         """Scheduler-owned events: one completion estimate per job.
 
-        Pushed once when the job's transfers start, cancelled when the
-        job leaves flight; never re-pushed in between (the producer's
-        state did not change).  Estimates are advisory lower bounds —
-        when one is exact, the batch round it bounds ends with an
-        ``advance_many`` completion stop at that very tick, making the
-        dispatch queue-predicted; when it under-shoots it is skimmed.
+        ``estimates`` maps ``id(job)`` to the job's queue entry for one
+        producer.  An estimate is pushed once when the job's transfers
+        start, cancelled when the job leaves flight; never re-pushed in
+        between (the producer's state did not change).  Estimates are
+        advisory lower bounds — when one is exact, the batch round it
+        bounds ends with an ``advance_many`` completion stop at that
+        very tick, making the dispatch queue-predicted; when it
+        under-shoots it is skimmed.
+
+        ``share`` is the link's fair share per live transfer if the
+        caller already knows it; it is counted on the first new job and
+        returned, so a refresh syncing many producers counts the link
+        once.
         """
-        estimates = self._job_estimates
         if not jobs and not estimates:
-            return
+            return share
         queue = self.queue
         live_keys = set()
         clock = self.clock
@@ -293,7 +303,9 @@ class EventLoopCore:
             live_keys.add(key)
             if key in estimates:
                 continue
-            ticks = self._estimate_completion_ticks(job, now, dt)
+            if share is None:
+                share = self._fair_share(now)
+            ticks = self._estimate_completion_ticks(job, share, now, dt)
             estimates[key] = queue.push(
                 now + ticks * dt, EventType.TRANSFER_COMPLETE, job
             )
@@ -301,13 +313,25 @@ class EventLoopCore:
         if len(estimates) > len(live_keys):
             for key in [k for k in estimates if k not in live_keys]:
                 queue.cancel(estimates.pop(key))
+        return share
 
-    def _estimate_completion_ticks(self, job, now: float, dt: float) -> int:
+    def _fair_share(self, now: float) -> float:
+        """The link's capacity at ``now`` split over its live transfers."""
+        network = self.network
+        capacity = network.effective_capacity(now)
+        active = sum(
+            1 for conn in network.connections if conn.transfer is not None
+        )
+        return capacity / active if active else capacity
+
+    def _estimate_completion_ticks(
+        self, job, share: float, now: float, dt: float
+    ) -> int:
         """Closed-form earliest completion for ``job``, in ticks.
 
         A job completes when its slowest part does, and each part's
-        slow-start horizon is a stays-incomplete bound under a fair
-        share of the link.  Sharing the capacity across active
+        slow-start horizon is a stays-incomplete bound under ``share``,
+        a fair share of the link.  Sharing the capacity across active
         transfers biases the estimate *late* on parallel-connection
         services — a late estimate costs nothing (the completion stop
         reason lands first and the estimate is cancelled), while an
@@ -319,12 +343,6 @@ class EventLoopCore:
         parts = job.live_transfers()
         if not parts:
             return 1
-        network = self.network
-        capacity = network.effective_capacity(now)
-        active = sum(
-            1 for conn in network.connections if conn.transfer is not None
-        )
-        share = capacity / active if active else capacity
         ticks = 1
         for connection, _ in parts:
             horizon = connection.slow_start_horizon_ticks(share, dt, remaining)
@@ -524,7 +542,9 @@ class EventDrivenSession(EventLoopCore, Session):
         self._note_depth()
 
     def _sync_job_estimates(self) -> None:
-        self._sync_job_estimates_for(self.player.scheduler.jobs())
+        self._sync_job_estimates_for(
+            self.player.scheduler.jobs(), self._job_estimates
+        )
 
     def _emit_jump(
         self, start: float, layer: str, ticks: int, bound: str

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.faults import FaultInjectingHandler, FaultSpec
-from repro.analysis.proxy import Proxy
+from repro.analysis.proxy import FlowRecord, Proxy
 from repro.analysis.qoe import QoeReport, compute_qoe
 from repro.analysis.traffic import TrafficAnalyzer
 from repro.analysis.ui import UiMonitor
@@ -101,6 +101,33 @@ class ClientResult:
         return self.record.qoe
 
 
+def flows_by_asset(
+    flows: Sequence[FlowRecord], asset_ids: Sequence[str]
+) -> list[list[FlowRecord]]:
+    """Each asset's flows: those whose URL contains ``/{asset_id}/``.
+
+    One pass over the capture instead of one substring filter per
+    client.  For an id without a ``/``, ``f"/{asset_id}/" in url``
+    holds exactly when the id is one of the URL's inner pieces (every
+    ``url.split("/")`` piece but the first and the last), so the pieces
+    are looked up in a dict; an id containing ``/`` keeps the substring
+    test.  Flows keep capture order, a flow naming several ids lands in
+    each of their lists, and a repeated id shares one list.
+    """
+    buckets: dict[str, list[FlowRecord]] = {
+        asset_id: [] for asset_id in asset_ids
+    }
+    slashed = [asset_id for asset_id in buckets if "/" in asset_id]
+    for flow in flows:
+        url = flow.url
+        for asset_id in buckets.keys() & url.split("/")[1:-1]:
+            buckets[asset_id].append(flow)
+        for asset_id in slashed:
+            if f"/{asset_id}/" in url:
+                buckets[asset_id].append(flow)
+    return [buckets[asset_id] for asset_id in asset_ids]
+
+
 class MultiSession:
     """N players, one link, one clock, one flow capture."""
 
@@ -175,24 +202,24 @@ class MultiSession:
         )
         self._arrived = [a <= 1e-9 for a in self.arrivals]
         self._retired = [False] * count
+        # Indexes of the clients on the link, in client order.
         self._active = [
-            player
-            for index, player in enumerate(self.players)
-            if self._arrived[index]
+            index for index in range(count) if self._arrived[index]
         ]
         self._duration = 0.0
 
     def run(self, duration_s: float) -> list[ClientResult]:
         dt = self.clock.dt
         self._duration = duration_s
+        players = self.players
         while self.clock.now < duration_s - 1e-9:
             if self._churn:
                 self._process_churn(self.clock.now)
             if self.fast_forward and self._try_fast_forward(duration_s):
                 continue
             self.network.advance(dt)
-            for player in self._active:
-                player.advance(dt)
+            for index in self._active:
+                players[index].advance(dt)
             self.clock.tick()
             self.ticks_executed += 1
             if self._all_done():
@@ -224,8 +251,8 @@ class MultiSession:
                 changed = True
         if changed:
             self._active = [
-                player
-                for index, player in enumerate(self.players)
+                index
+                for index in range(len(self.players))
                 if self._arrived[index] and not self._retired[index]
             ]
 
@@ -290,7 +317,8 @@ class MultiSession:
         """Jump the shared clock over a stretch idle for *every* player."""
         if self._all_done():
             return False  # the serial loop is about to break
-        for player in self._active:
+        active = [self.players[index] for index in self._active]
+        for player in active:
             if player.state not in (PlayerState.PLAYING, PlayerState.ENDED):
                 return False
             if player.scheduler.busy:
@@ -301,10 +329,9 @@ class MultiSession:
         max_ticks = int((duration_s - 1e-9 - self.clock.now) / dt)
         if max_ticks < 2:
             return False
-        if self._active:
+        if active:
             ticks = min(
-                player.idle_noop_ticks(dt, max_ticks)
-                for player in self._active
+                player.idle_noop_ticks(dt, max_ticks) for player in active
             )
         else:
             ticks = max_ticks  # everyone still waiting to arrive
@@ -315,7 +342,7 @@ class MultiSession:
         ticks = self._churn_horizon_ticks(ticks, dt)
         if ticks < 2:
             return False
-        for player in self._active:
+        for player in active:
             player.apply_noop_ticks(ticks, dt)
         for _ in range(ticks):
             self.clock.tick()
@@ -334,11 +361,12 @@ class MultiSession:
 
     def _collect_results(self) -> list[ClientResult]:
         results = []
-        for index, (built, player) in enumerate(
-            zip(self.builts, self.players)
+        client_flows = flows_by_asset(
+            self.proxy.flows, [built.asset.asset_id for built in self.builts]
+        )
+        for index, (built, player, flows) in enumerate(
+            zip(self.builts, self.players, client_flows)
         ):
-            marker = f"/{built.asset.asset_id}/"
-            flows = [flow for flow in self.proxy.flows if marker in flow.url]
             analyzer = TrafficAnalyzer()
             analyzer.observe_flows(flows)
             ui = UiMonitor(player.ui_samples)
@@ -376,30 +404,39 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
 
     Per-client producer ownership scales the single-session design to N
     players on a shared link: every player keeps one ``PLAYER_WAKE``
-    (its margin-contract deadline, absolute), every in-flight job one
-    advisory completion estimate, the fault plane its static entries —
-    all in one shared :class:`EventQueue`.  After a dispatched tick
-    only players whose observable state moved (a cheap signature over
-    state / wire completions / in-flight count / emitted events / pause
-    flags) recompute their deadline; everyone else's wake stays put.
-    That is what replaces the lock-step loop's per-tick, per-player
-    scan, while batched windows replay through the identical primitives
-    (``Network.advance_many`` over the shared link, per-player
-    ``apply_noop_ticks``), keeping ``ClientResult``s byte-identical.
+    (its margin-contract deadline, absolute) and one advisory
+    completion estimate per in-flight job, and the fault plane its
+    static entries — all in one shared :class:`EventQueue`.  A
+    dispatched tick runs ``network.advance`` for the cell, then a full
+    ``player.advance`` only for the clients it *touches* (see
+    :meth:`_dispatch_tick`); every other client sits inside the no-op
+    window its own wake certified and replays the tick with
+    ``apply_noop_ticks(1)``.  Producers are refreshed for the touched
+    clients only, so per-dispatch bookkeeping scales with them, not
+    with the cell.  Batched windows replay through the identical
+    primitives (``Network.advance_many`` over the shared link,
+    per-player ``apply_noop_ticks``), keeping ``ClientResult``s
+    byte-identical to the tick loop.
     """
 
     engine = "event"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        count = len(self.players)
         self.queue = EventQueue()
         self.events_dispatched = 0
         self.max_queue_depth = 0
         self._completion_due = False
         self._limit = 0.0
-        self._wake_handles: list[Event | None] = [None] * len(self.players)
-        self._wake_sigs: list[object] = [None] * len(self.players)
-        self._job_estimates: dict[int, Event] = {}
+        self._wake_handles: list[Event | None] = [None] * count
+        self._wake_sigs: list[object] = [None] * count
+        # Per client: its scheduler's wire completions at its last full
+        # tick, and its jobs' completion estimates keyed by id(job).
+        self._parts_seen = [0] * count
+        self._job_estimates: list[dict[int, Event]] = [
+            {} for _ in range(count)
+        ]
 
     def run(self, duration_s: float) -> list[ClientResult]:
         dt = self.clock.dt
@@ -410,7 +447,7 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         self._register_churn_events(duration_s)
         if self._churn:
             self._process_churn(self.clock.now)
-        self._refresh_producers()
+        self._refresh_producers(self._active)
         clock = self.clock
         while clock.now < limit:
             if self._completion_due:
@@ -453,46 +490,80 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                 self._note_depth()
 
     def _retire(self, index: int, now: float) -> None:
+        """Retire the client and cancel every queue entry it owns."""
         super()._retire(index, now)
         handle = self._wake_handles[index]
-        if handle is not None and not handle.cancelled:
+        if handle is not None:
             self.queue.cancel(handle)
         self._wake_handles[index] = None
+        estimates = self._job_estimates[index]
+        for estimate in estimates.values():
+            self.queue.cancel(estimate)
+        estimates.clear()
 
     def _dispatch_tick(self, dt: float) -> bool:
-        """One oracle tick at an event instant; True ends the session."""
-        self.queue.pop_due(self.clock.now + 1e-9)
+        """One oracle tick at an event instant; True ends the session.
+
+        After ``network.advance`` a client is *touched* — runs a full
+        ``player.advance`` — when its wake was popped at this instant
+        or it has none (it just arrived), when its scheduler's
+        ``completed_parts`` moved since its last full tick (a
+        completion, abort, reset or failure fired inside this tick's
+        ``network.advance``), or when a fault change point popped.
+        Any other client's wake lies strictly in the future, so this
+        tick falls inside the no-op window its margin contract
+        certified, where ``apply_noop_ticks(1)`` is bit-identical to
+        ``advance``.  The replay is eager, in client order: completion
+        callbacks inside ``network.advance`` read player state, so no
+        client may lag behind the clock.
+        """
+        due = self.queue.pop_due(self.clock.now + 1e-9)
         if self._churn:
             self._process_churn(self.clock.now)
         self.network.advance(dt)
-        for player in self._active:
-            player.advance(dt)
+        everyone = any(event.type is EventType.FAULT_CHANGE for event in due)
+        players = self.players
+        wakes = self._wake_handles
+        parts_seen = self._parts_seen
+        touched = []
+        for index in self._active:
+            player = players[index]
+            wake = wakes[index]
+            if (
+                everyone
+                or wake is None
+                or wake.cancelled
+                or player.scheduler.completed_parts != parts_seen[index]
+            ):
+                player.advance(dt)
+                touched.append(index)
+            else:
+                player.apply_noop_ticks(1, dt)
         self.clock.tick()
         self.ticks_executed += 1
         self.events_dispatched += 1
         if self._all_done():
             return True  # mirror the oracle's post-tick break
-        self._refresh_producers()
+        self._refresh_producers(touched)
         return False
 
-    def _refresh_producers(self) -> None:
-        """Re-arm deadlines for players whose own state moved.
+    def _refresh_producers(self, touched: Sequence[int]) -> None:
+        """Re-arm the touched clients' wakes and job estimates.
 
-        A player's wake deadline is absolute and its margin premises
-        can only change at a dispatched tick that touched *that*
-        player, so the signature check skips the margin walk for every
-        bystander (the common case on a shared link: one client's
-        completion leaves the other N-1 untouched).  A popped or due
+        Only a full tick can move a player's mode or margin premises,
+        so bystanders keep their absolute wakes and estimates.  Among
+        the touched, a cheap signature (state, wire completions,
+        in-flight count, emitted events, pause flags) still skips the
+        margin walk when nothing observable moved; a popped or missing
         wake always recomputes — serial stretches re-vet every tick,
         exactly like the single-session engine.
         """
         queue = self.queue
-        for index, player in enumerate(self.players):
-            if self._churn and (
-                not self._arrived[index] or self._retired[index]
-            ):
-                continue  # inactive clients own no wake deadline
+        players = self.players
+        for index in touched:
+            player = players[index]
             scheduler = player.scheduler
+            self._parts_seen[index] = scheduler.completed_parts
             sig = (
                 player.state,
                 scheduler.completed_parts,
@@ -517,13 +588,13 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                 deadline, EventType.PLAYER_WAKE, index
             )
             self._note_depth()
-        self._sync_job_estimates()
-
-    def _sync_job_estimates(self) -> None:
-        jobs = []
-        for player in self._active:
-            jobs.extend(player.scheduler.jobs())
-        self._sync_job_estimates_for(jobs)
+        share = None
+        for index in touched:
+            share = self._sync_job_estimates_for(
+                players[index].scheduler.jobs(),
+                self._job_estimates[index],
+                share,
+            )
 
     def _player_deadline(self, player: Player) -> float:
         """This player's absolute wake deadline under its current mode.
@@ -567,9 +638,9 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         ticks = int((target - now - 1e-9) / dt) + 1
         if ticks > remaining:
             ticks = remaining
-        players = self._active
         if ticks < 1:
             return self._dispatch_tick(dt)
+        players = [self.players[index] for index in self._active]
         if self.network.steady_for_batching():
             executed, activity, reason = self.network.advance_many(ticks, dt)
             if reason == ADVANCE_COMPLETION:
