@@ -456,10 +456,8 @@ class EventDrivenSession(EventLoopCore, Session):
                 self._after_dispatch()
                 return
             player.apply_noop_ticks(executed, dt)
-            rrc = self.rrc
-            for radio_active in activity:
-                rrc.observe(radio_active, dt)
-                clock.tick()
+            self.rrc.observe_many(activity, dt)
+            clock.advance(executed)
             self.transfer_fast_forwarded_ticks += executed
             self.transfer_fast_forward_jumps += 1
             self._emit_jump(now, "transfer", executed, reason)
@@ -475,10 +473,8 @@ class EventDrivenSession(EventLoopCore, Session):
         # argument, state-independent): replay player no-ops, RRC idle
         # observations and clock ticks, skip network.advance entirely.
         player.apply_noop_ticks(ticks, dt)
-        rrc = self.rrc
-        for _ in range(ticks):
-            rrc.observe(False, dt)
-            clock.tick()
+        self.rrc.observe_many(itertools.repeat(False, ticks), dt)
+        clock.advance(ticks)
         self.fast_forwarded_ticks += ticks
         self.fast_forward_jumps += 1
         self._emit_jump(now, self._wake_layer, ticks, "player_wake")

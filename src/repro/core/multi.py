@@ -344,8 +344,7 @@ class MultiSession:
             return False
         for player in active:
             player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            self.clock.tick()
+        self.clock.advance(ticks)
         self.fast_forwarded_ticks += ticks
         self.fast_forward_jumps += 1
         return True
@@ -651,8 +650,7 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                 return self._dispatch_tick(dt)
             for player in players:
                 player.apply_noop_ticks(executed, dt)
-            for _ in range(executed):
-                clock.tick()
+            clock.advance(executed)
             self.fast_forwarded_ticks += executed
             self.fast_forward_jumps += 1
             return False
@@ -664,8 +662,7 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         # player replays playhead/UI only (the idle-jump argument).
         for player in players:
             player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            clock.tick()
+        clock.advance(ticks)
         self.fast_forwarded_ticks += ticks
         self.fast_forward_jumps += 1
         return False

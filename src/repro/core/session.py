@@ -11,6 +11,7 @@ methodology's view (flows → analyzer → QoE) and the ground truth
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from time import perf_counter
 from typing import Optional
 
@@ -284,9 +285,8 @@ class Session:
             return False
         window_start = self.clock.now
         player.apply_noop_ticks(ticks, dt)
-        for _ in range(ticks):
-            self.rrc.observe(False, dt)
-            self.clock.tick()
+        self.rrc.observe_many(repeat(False, ticks), dt)
+        self.clock.advance(ticks)
         self.fast_forwarded_ticks += ticks
         self.fast_forward_jumps += 1
         tracer = self.obs.tracer
@@ -335,9 +335,8 @@ class Session:
             return False
         window_start = self.clock.now
         self.player.apply_noop_ticks(executed, dt)
-        for radio_active in activity:
-            self.rrc.observe(radio_active, dt)
-            self.clock.tick()
+        self.rrc.observe_many(activity, dt)
+        self.clock.advance(executed)
         self.transfer_fast_forwarded_ticks += executed
         self.transfer_fast_forward_jumps += 1
         tracer = self.obs.tracer

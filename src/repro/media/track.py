@@ -24,6 +24,10 @@ class StreamType(enum.Enum):
     VIDEO = "video"
     AUDIO = "audio"
 
+    # Members are singletons, so identity hashing agrees with equality;
+    # Enum's own __hash__ rehashes the member name on every dict lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Segment:

@@ -11,9 +11,9 @@ from repro.util import check_positive
 class Clock:
     """Discrete simulation time.
 
-    ``now`` only moves forward via :meth:`tick`, in steps of ``dt``
-    seconds.  All components read the same clock so there is a single
-    notion of time per session.
+    ``now`` only moves forward via :meth:`tick` and :meth:`advance`, in
+    steps of ``dt`` seconds.  All components read the same clock so
+    there is a single notion of time per session.
     """
 
     dt: float = 0.1
@@ -24,5 +24,18 @@ class Clock:
 
     def tick(self) -> float:
         """Advance one step and return the new time."""
-        self.now = round(self.now + self.dt, 9)
-        return self.now
+        return self.advance(1)
+
+    def advance(self, ticks: int) -> float:
+        """Advance ``ticks`` steps and return the new time.
+
+        Each step rounds on its own (``round(now + dt, 9)``), so time
+        lands on the same float as stepping one tick per call; only the
+        attribute traffic is per call.
+        """
+        now = self.now
+        dt = self.dt
+        for _ in range(ticks):
+            now = round(now + dt, 9)
+        self.now = now
+        return now

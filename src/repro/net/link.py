@@ -137,15 +137,23 @@ class BottleneckLink:
     def advance(
         self, connections: list[TcpConnection], dt: float, now: float
     ) -> list:
-        """Move one tick of bytes; returns transfers that completed."""
+        """Move one tick of bytes; returns transfers that completed.
+
+        Only busy connections take part: an idle one's control step is
+        a no-op and its demand is 0, which the water-fill never serves,
+        so leaving it out changes no other flow's allocation.
+        """
         check_positive("dt", dt)
-        for connection in connections:
+        busy = [connection for connection in connections if connection.busy]
+        if not busy:
+            return []
+        for connection in busy:
             connection.advance_control(dt)
-        if len(connections) == 1:
+        if len(busy) == 1:
             # Single connection (every HLS service): skip the list
             # building and the water-fill call; the allocation collapses
             # to the same min-with-tolerance water_fill computes.
-            demand = connections[0].rate_cap_bps()
+            demand = busy[0].rate_cap_bps()
             if demand <= 0 or self.capacity_bps <= 1e-12:
                 allocations = (0.0,)
             elif demand <= self.capacity_bps + 1e-12:
@@ -153,10 +161,10 @@ class BottleneckLink:
             else:
                 allocations = (self.capacity_bps,)
         else:
-            demands = [connection.rate_cap_bps() for connection in connections]
+            demands = [connection.rate_cap_bps() for connection in busy]
             allocations = allocate(self.capacity_bps, demands)
         completed = []
-        for connection, rate_bps in zip(connections, allocations):
+        for connection, rate_bps in zip(busy, allocations):
             num_bytes = rate_bps * dt / 8.0
             if num_bytes <= 0:
                 continue

@@ -19,7 +19,7 @@ from repro.net.http import HttpRequest, HttpResponse, ResponsePlan
 from repro.net.link import BottleneckLink, allocate
 from repro.net.schedule import BandwidthSchedule
 from repro.net.tcp import TcpConnection, TcpConnectionState, Transfer
-from repro.util import check_non_negative
+from repro.util import check_non_negative, check_positive
 
 DEFAULT_HEADER_OVERHEAD_BYTES = 360
 
@@ -259,6 +259,7 @@ class Network:
         can dispatch it serially without a wasted re-probe.  The clock
         is NOT advanced — the caller replays clock/RRC/player effects.
         """
+        check_positive("dt", dt)
         link = self.link
         t = self.clock.now
         clamp_reason = ADVANCE_HORIZON
@@ -289,20 +290,28 @@ class Network:
                     clamp_reason = ADVANCE_FAULT
             if self.faults.dead_air_at(t):
                 capacity = 0.0
-        connections = self.connections
+        # No transfer starts or ends inside a window, so the busy set is
+        # fixed for the call (a handshake that completes without a
+        # transfer leaves a connection whose steps stay no-ops).  Only
+        # connections not yet in steady transfer have countdowns to run,
+        # save and restore; the steady ones' control steps are no-ops.
+        connections = [c for c in self.connections if c.busy]
+        pending = [c for c in connections if not c.in_steady_transfer]
         executed = 0
         activity: list[bool] = []
         while executed < max_ticks:
-            saved = [
-                (
-                    c.state,
-                    c._handshake_remaining_s,
-                    c._request_latency_remaining_s,
-                )
-                for c in connections
-            ]
-            for connection in connections:
-                connection.advance_control(dt)
+            if pending:
+                saved = [
+                    (
+                        c,
+                        c.state,
+                        c._handshake_remaining_s,
+                        c._request_latency_remaining_s,
+                    )
+                    for c in pending
+                ]
+                for connection in pending:
+                    connection.advance_control(dt)
             if len(connections) == 1:
                 # Mirror of the single-connection fast path in
                 # BottleneckLink.advance.
@@ -336,12 +345,11 @@ class Network:
                 # advance_control already ran for this aborted tick;
                 # put the countdowns back so the serial tick that takes
                 # over replays them identically.
-                for connection, (state, handshake, latency) in zip(
-                    connections, saved
-                ):
-                    connection.state = state
-                    connection._handshake_remaining_s = handshake
-                    connection._request_latency_remaining_s = latency
+                if pending:
+                    for connection, state, handshake, latency in saved:
+                        connection.state = state
+                        connection._handshake_remaining_s = handshake
+                        connection._request_latency_remaining_s = latency
                 clamp_reason = ADVANCE_COMPLETION
                 break
             before_link = link.total_bytes_delivered
@@ -360,6 +368,8 @@ class Network:
             activity.append(link.total_bytes_delivered > before_link)
             t = round(t + dt, 9)
             executed += 1
+            if pending:
+                pending = [c for c in pending if not c.in_steady_transfer]
         if executed and self.schedule is not None:
             # The serial loop re-asserts the (identical) capacity every
             # tick; leave the link in the same state.  Under dead air

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.util import check_non_negative, check_positive
 
@@ -33,7 +34,6 @@ class RrcConfig:
     tail_power_w: float = 1.00
     idle_power_w: float = 0.03
     promotion_energy_j: float = 0.45
-    promotion_delay_s: float = 0.26
 
     def __post_init__(self) -> None:
         check_positive("demotion_timer_s", self.demotion_timer_s)
@@ -59,29 +59,67 @@ class RrcMachine:
 
     def observe(self, radio_active: bool, dt: float) -> None:
         """Feed one tick: was any data moving on the radio during it?"""
+        self.observe_many((radio_active,), dt)
+
+    def observe_many(self, activity: Iterable[bool], dt: float) -> None:
+        """Feed a run of ticks, one activity flag per tick, in order.
+
+        The state machine still steps once per tick: each tick adds its
+        own ``power * dt`` to the energy and ``dt`` to its state's time,
+        and takes ``dt`` off the tail, so the floats accumulate exactly
+        as one call per tick would.  Only the bookkeeping is per run:
+        the machine lives in locals and is written back once.
+        """
         check_positive("dt", dt)
-        if radio_active:
-            if self.state is RrcState.IDLE:
-                self.promotions += 1
-                self.energy_j += self.config.promotion_energy_j
-            self.state = RrcState.CONNECTED_ACTIVE
-            self._tail_remaining_s = self.config.demotion_timer_s
-            power = self.config.active_power_w
-        else:
-            if self.state is RrcState.CONNECTED_ACTIVE:
-                self.state = RrcState.CONNECTED_TAIL
-            if self.state is RrcState.CONNECTED_TAIL:
-                self._tail_remaining_s -= dt
-                if self._tail_remaining_s <= 1e-9:
-                    self.state = RrcState.IDLE
-                    self.demotions += 1
-            power = (
-                self.config.tail_power_w
-                if self.state is RrcState.CONNECTED_TAIL
-                else self.config.idle_power_w
-            )
-        self.energy_j += power * dt
-        self.time_in_state[self.state] += dt
+        config = self.config
+        idle, active, tail = (
+            RrcState.IDLE, RrcState.CONNECTED_ACTIVE, RrcState.CONNECTED_TAIL
+        )
+        active_step = config.active_power_w * dt
+        tail_step = config.tail_power_w * dt
+        idle_step = config.idle_power_w * dt
+        promotion_energy = config.promotion_energy_j
+        demotion_timer = config.demotion_timer_s
+        state = self.state
+        energy = self.energy_j
+        remaining = self._tail_remaining_s
+        promotions = self.promotions
+        demotions = self.demotions
+        time_in_state = self.time_in_state
+        in_idle = time_in_state[idle]
+        in_active = time_in_state[active]
+        in_tail = time_in_state[tail]
+        for radio_active in activity:
+            if radio_active:
+                if state is idle:
+                    promotions += 1
+                    energy += promotion_energy
+                state = active
+                remaining = demotion_timer
+                energy += active_step
+                in_active += dt
+                continue
+            if state is active:
+                state = tail
+            if state is tail:
+                remaining -= dt
+                if remaining <= 1e-9:
+                    state = idle
+                    demotions += 1
+            if state is tail:
+                energy += tail_step
+                in_tail += dt
+            else:
+                energy += idle_step
+                in_idle += dt
+        self.state = state
+        self.energy_j = energy
+        self._tail_remaining_s = remaining
+        self.promotions = promotions
+        self.demotions = demotions
+        time_in_state[idle] = in_idle
+        time_in_state[active] = in_active
+        time_in_state[tail] = in_tail
 
     @property
     def idle_fraction(self) -> float:

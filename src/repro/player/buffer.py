@@ -18,8 +18,10 @@ run ahead of the playhead, because a hole stalls the renderer.
 
 Queries run against a sorted index of the buffer (DESIGN.md section
 4k), so the player's per-tick questions cost a bisection instead of a
-walk over the buffer.  Every mutation bumps a counter, and the first
-query after it rebuilds the index.
+walk over the buffer.  Every mutation bumps a counter.  Steady playback
+keeps the index current in place (appending the next index, releasing
+the played head); any other mutation leaves it to be rebuilt by the
+first query after it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ class _BufferIndex:
     covers any position and bisection finds it; otherwise (intervals
     overlapping by an ulp, negative durations, NaN) coverage takes the
     insertion-order scan.  ``first_end`` is the earliest ``end_s``.
+
+    :meth:`append` and :meth:`drop_head` update the index in place and
+    leave it equal to a fresh build field for field, except that
+    ``runs`` may carry a constant offset (run keys are only compared
+    with each other).  Each returns a falsy value, having changed
+    nothing, when it cannot show that equality cheaply.
     """
 
     __slots__ = (
@@ -92,6 +100,66 @@ class _BufferIndex:
         """Position of the last segment of the run holding position ``i``."""
         return bisect_right(self.runs, self.runs[i]) - 1
 
+    def append(self, segment: BufferedSegment) -> bool:
+        """Add ``segment`` when its index is above every indexed one.
+
+        ``separated`` follows from the last bound alone: an unseparated
+        index stays so (a decrease or a NaN sum persists), and a
+        separated one stays so exactly when the new bounds continue the
+        order, as long as the new end is not ``+inf`` (only then could
+        the bound sum turn NaN); that case is left to a rebuild.
+        ``first_end`` folds in the new end as ``min`` does.
+        """
+        keys = self.keys
+        key = segment.index
+        if keys and key <= keys[-1]:
+            return False
+        end = segment.end_s
+        start = segment.start_s - 1e-9
+        bound = end - 1e-9
+        if self.separated:
+            if bound == math.inf:
+                return False
+            self.separated = (not keys or self.ends[-1] <= start) and (
+                start <= bound
+            )
+        if keys:
+            self.runs.append(self.runs[-1] + key - keys[-1] - 1)
+            self.first_end = min(self.first_end, end)
+        else:
+            self.runs.append(key)
+            self.first_end = end
+        keys.append(key)
+        self.segments.append(segment)
+        self.starts.append(start)
+        self.ends.append(bound)
+        return True
+
+    def drop_head(self, limit: float) -> list[BufferedSegment] | None:
+        """Remove and return the segments with ``end_s <= limit`` when
+        they are a prefix of this index, which must be separated; None
+        otherwise.
+
+        Along separated bounds the covering ends never decrease, and a
+        strictly larger covering end means a strictly larger ``end_s``.
+        So when the first kept segment's covering end is below the
+        next one's, every later segment ends after it, hence after
+        ``limit``, and the earliest remaining ``end_s`` is its own.
+        """
+        segments = self.segments
+        count = len(segments)
+        head = 0
+        while head < count and segments[head].end_s <= limit:
+            head += 1
+        ends = self.ends
+        if head == 0 or (head + 1 < count and not ends[head] < ends[head + 1]):
+            return None
+        released = segments[:head]
+        for column in (self.keys, segments, self.starts, ends, self.runs):
+            del column[:head]
+        self.first_end = segments[0].end_s if segments else math.inf
+        return released
+
 
 class PlaybackBuffer:
     """Buffered media for one stream (video or audio)."""
@@ -103,6 +171,8 @@ class PlaybackBuffer:
         self.total_inserted_bytes = 0
         self.mutations = 0
         self._built = _BufferIndex(self._segments, 0)
+        # (mutations, position, answer) of the last run_end_s query.
+        self._run_end_memo: tuple = (-1, None, None)
 
     def _index(self) -> _BufferIndex:
         if self._built.mutations != self.mutations:
@@ -144,11 +214,18 @@ class PlaybackBuffer:
 
     def run_end_s(self, position_s: float) -> float | None:
         """Where the content playable without a gap from ``position_s``
-        ends, or None when no segment covers ``position_s``."""
+        ends, or None when no segment covers ``position_s``.
+
+        The player asks this several times per tick at one position;
+        the last answer is kept until the position or the buffer moves.
+        """
+        mutations, position, answer = self._run_end_memo
+        if mutations == self.mutations and position == position_s:
+            return answer
         index, i = self._cover(position_s)
-        if i < 0:
-            return None
-        return index.segments[index.run_tail(i)].end_s
+        answer = None if i < 0 else index.segments[index.run_tail(i)].end_s
+        self._run_end_memo = (self.mutations, position_s, answer)
+        return answer
 
     def occupancy_s(self, position_s: float) -> float:
         """Seconds of contiguously playable content ahead of the playhead."""
@@ -190,9 +267,13 @@ class PlaybackBuffer:
             raise ValueError(
                 f"segment {segment.index} already buffered; use replace_single"
             )
+        index = self._built
+        current = index.mutations == self.mutations
         self._segments[segment.index] = segment
         self.total_inserted_bytes += segment.size_bytes
         self.mutations += 1
+        if current and index.append(segment):
+            index.mutations = self.mutations
 
     def replace_single(self, segment: BufferedSegment) -> BufferedSegment:
         """Swap one mid-buffer segment for a fresh download.
@@ -232,8 +313,17 @@ class PlaybackBuffer:
     def consume_until(self, position_s: float) -> list[BufferedSegment]:
         """Release fully played segments (renderer side of the deque)."""
         index = self._index()
-        if index.separated and not index.first_end <= position_s + 1e-9:
-            return []  # no segment ends by position_s
+        if index.separated:
+            limit = position_s + 1e-9
+            if not index.first_end <= limit:
+                return []  # no segment ends by position_s
+            finished = index.drop_head(limit)
+            if finished is not None:
+                for segment in finished:
+                    del self._segments[segment.index]
+                self.mutations += 1
+                index.mutations = self.mutations
+                return finished
         finished = [
             segment
             for segment in self._segments.values()

@@ -8,7 +8,8 @@ Segments are cut from a float-summed timeline and nudged by ulps or by
 1e-9, so neighbours can overlap by an ulp (the scan fallback) or meet
 exactly (the bisection path); a few are empty, reversed, NaN or moved
 to another segment's start.  Appends of the next index and consumption of
-the head play out steady playback.
+the head play out steady playback; they update the index in place, so
+after every step the live index must equal a fresh build.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import RunSpec, run_one
 from repro.media.track import StreamType
-from repro.player.buffer import BufferedSegment, PlaybackBuffer
+from repro.player import buffer as buffer_module
+from repro.player.buffer import BufferedSegment, PlaybackBuffer, _BufferIndex
 from tests.reference_buffer import PlaybackBuffer as ScanBuffer
 
 DURATIONS = (2.0, 4.0, 1.0 / 3.0, 0.1, 2.002, 6.0)
@@ -110,7 +113,8 @@ def scenarios(draw):
     return (
         timeline,
         draw(st.booleans()),
-        draw(st.lists(operation, min_size=1, max_size=16)),
+        draw(st.lists(st.tuples(operation, probe_edge), min_size=1,
+                      max_size=16)),
     )
 
 
@@ -171,6 +175,40 @@ def _assert_queries_match(buffer: PlaybackBuffer, scan: ScanBuffer) -> None:
                             _outcome(lambda: scan.occupancy_s(position)))
 
 
+def _assert_index_is_fresh(buffer: PlaybackBuffer) -> None:
+    """The live index equals a build from scratch at this mutation."""
+    live = buffer._index()
+    fresh = _BufferIndex(buffer._segments, buffer.mutations)
+    assert live.mutations == fresh.mutations
+    assert live.keys == fresh.keys
+    assert live.separated == fresh.separated
+    _assert_same_segments(live.segments, fresh.segments)
+    assert [_bits(x) for x in live.starts] == [_bits(x) for x in fresh.starts]
+    assert [_bits(x) for x in live.ends] == [_bits(x) for x in fresh.ends]
+    assert _bits(live.first_end) == _bits(fresh.first_end)
+    for i in range(len(fresh.keys)):
+        assert live.run_tail(i) == fresh.run_tail(i)
+
+
+def _assert_memo_answers(buffer, scan, position) -> None:
+    """Ask twice at one position: the memoised answer must hold."""
+    run = scan.contiguous_run_from(position)
+    expected = _bits(run[-1].end_s) if run else None
+    occupancy = _outcome(lambda: scan.occupancy_s(position))
+    for _ in range(2):
+        end = buffer.run_end_s(position)
+        assert (None if end is None else _bits(end)) == expected
+        _assert_same_floats(_outcome(lambda: buffer.occupancy_s(position)),
+                            occupancy)
+
+
+def _edge(timeline, probe_edge) -> float:
+    index, edge, how = probe_edge
+    starts, durations = timeline
+    return _shift(starts[index] + (durations[index] if edge == "end" else 0.0),
+                  how)
+
+
 def _apply(buffer, operation, timeline):
     name = operation[0]
     if name == "insert":
@@ -181,10 +219,8 @@ def _apply(buffer, operation, timeline):
         return _outcome(lambda: buffer.discard_tail_from(operation[1]))
     if name == "clear":
         return _outcome(buffer.clear)
-    index, edge, how = operation[1]
-    starts, durations = timeline
-    value = starts[index] + (durations[index] if edge == "end" else 0.0)
-    return _outcome(lambda: buffer.consume_until(_shift(value, how)))
+    return _outcome(lambda: buffer.consume_until(_edge(timeline,
+                                                      operation[1])))
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,13 +230,15 @@ def test_indexed_buffer_matches_the_scan(scenario):
     buffer = PlaybackBuffer(allow_mid_replacement=allow_mid)
     scan = ScanBuffer(allow_mid_replacement=allow_mid)
     _assert_queries_match(buffer, scan)
-    for operation in operations:
+    for operation, watch in operations:
         if operation[0] == "append":  # the index after the highest one
             last = scan.end_index()
             index = 0 if last is None else last + 1
             if index >= len(timeline[0]):
                 continue
             operation = ("insert", _segment(timeline, index, *operation[1]))
+        position = _edge(timeline, watch)
+        _assert_memo_answers(buffer, scan, position)
         got = _apply(buffer, operation, timeline)
         expected = _apply(scan, operation, timeline)
         if got[0] == "ok" and isinstance(got[1], list):
@@ -209,6 +247,8 @@ def test_indexed_buffer_matches_the_scan(scenario):
             assert got[1] is expected[1]
         else:
             assert got == expected
+        _assert_memo_answers(buffer, scan, position)
+        _assert_index_is_fresh(buffer)
         _assert_queries_match(buffer, scan)
 
 
@@ -270,3 +310,83 @@ def test_reversed_segment_breaks_the_chain():
         _assert_queries_match(buffer, scan)
     assert not buffer._index().separated
     assert buffer.segment_covering(8.0) is segments[2]
+
+
+def test_steady_playback_keeps_the_index_in_place(monkeypatch):
+    """A 600-s D3 session that pauses on full buffers many times over
+    (profile 11) appends and releases segments in order, so almost no
+    mutation costs a rebuild.  Parallel-connection services (D1) insert
+    out of order and rebuild lazily on those inserts; they are not
+    pinned here."""
+    builds = []
+    build = _BufferIndex.__init__
+
+    def counting(self, *args):
+        builds.append(1)
+        build(self, *args)
+
+    monkeypatch.setattr(buffer_module._BufferIndex, "__init__", counting)
+    spec = RunSpec(service="D3", profile_id=11, duration_s=600.0,
+                   engine="event")
+    player = run_one(spec).result.player
+    mutations = sum(buffer.mutations for buffer in player.buffers.values())
+    assert mutations > 1000
+    assert len(builds) <= mutations // 100
+
+
+def test_infinite_end_leaves_separated_to_a_rebuild():
+    # Bounds [-inf, -inf, -1e-9, inf] are in order, but they sum to NaN,
+    # which non_decreasing counts as a decrease; appending in place
+    # would have to know the sum, so it rebuilds instead.
+    buffer, scan = PlaybackBuffer(), ScanBuffer()
+    for segment in (_plain(0, -math.inf, 4.0), _plain(1, 0.0, math.inf)):
+        buffer.insert(segment)
+        scan.insert(segment)
+        _assert_index_is_fresh(buffer)
+        _assert_queries_match(buffer, scan)
+    assert not buffer._index().separated
+
+
+def test_released_head_must_be_a_prefix():
+    # Two adjacent floats whose covering ends (end_s - 1e-9) coincide:
+    # segment 1 ends one ulp after segment 2 at the same covering end,
+    # so the bounds stay in order while the played set {0, 2} skips 1.
+    low = 2.9000000000000003e-09
+    high = math.nextafter(low, 1.0)
+    assert low - 1e-9 == high - 1e-9
+    segments = [_plain(0, 0.0, 1e-9), _plain(1, high, 0.0),
+                _plain(2, low, 0.0)]
+    buffer, scan = PlaybackBuffer(), ScanBuffer()
+    for segment in segments:
+        buffer.insert(segment)
+        scan.insert(segment)
+    assert buffer._index().separated
+    position = low - 1e-9
+    assert position + 1e-9 == low
+    released = buffer.consume_until(position)
+    _assert_same_segments(released, scan.consume_until(position))
+    _assert_same_segments(released, [segments[0], segments[2]])
+    _assert_index_is_fresh(buffer)
+    _assert_queries_match(buffer, scan)
+
+
+def test_steady_playback_updates_the_index_in_place():
+    # Append the next index, release the played head, leave a hole and
+    # fill past it: every step keeps the same index object current.
+    buffer, scan = PlaybackBuffer(), ScanBuffer()
+    built = buffer._index()
+    steps = [("insert", 0), ("insert", 1), ("consume", 4.0),
+             ("insert", 2), ("insert", 4), ("consume", 8.0),
+             ("insert", 5), ("consume", 11.0), ("consume", 24.0),
+             ("insert", 7)]
+    for name, value in steps:
+        if name == "insert":
+            segment = _plain(value, 4.0 * value, 4.0)
+            buffer.insert(segment)
+            scan.insert(segment)
+        else:
+            _assert_same_segments(buffer.consume_until(value),
+                                  scan.consume_until(value))
+        assert buffer._index() is built
+        _assert_index_is_fresh(buffer)
+        _assert_queries_match(buffer, scan)

@@ -1,11 +1,15 @@
 """Unit tests for the network substrate: schedules, TCP, link, HTTP."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import (
     BottleneckLink,
     Clock,
     ConstantSchedule,
+    DeadAirWindow,
     HttpMethod,
     HttpRequest,
     HttpStatus,
@@ -16,10 +20,18 @@ from repro.net import (
     TcpConnectionState,
     TraceSchedule,
     Transfer,
+    TransportFaultPlane,
     water_fill,
 )
+from repro.net.link import allocate
+from repro.net.network import (
+    ADVANCE_COMPLETION,
+    ADVANCE_FAULT,
+    ADVANCE_HORIZON,
+    ADVANCE_SCHEDULE,
+)
 from repro.net.tcp import INITIAL_CWND_BYTES
-from repro.util import mbps
+from repro.util import check_positive, mbps
 
 
 class TestSchedules:
@@ -626,6 +638,273 @@ class TestAdvanceMany:
                 )
 
         check()
+
+
+def _link_advance_all(self, connections, dt, now):
+    """``BottleneckLink.advance`` as it walked every connection before
+    the busy-only walk, kept verbatim (``self`` is the link)."""
+    check_positive("dt", dt)
+    for connection in connections:
+        connection.advance_control(dt)
+    if len(connections) == 1:
+        demand = connections[0].rate_cap_bps()
+        if demand <= 0 or self.capacity_bps <= 1e-12:
+            allocations = (0.0,)
+        elif demand <= self.capacity_bps + 1e-12:
+            allocations = (demand,)
+        else:
+            allocations = (self.capacity_bps,)
+    else:
+        demands = [connection.rate_cap_bps() for connection in connections]
+        allocations = allocate(self.capacity_bps, demands)
+    completed = []
+    for connection, rate_bps in zip(connections, allocations):
+        num_bytes = rate_bps * dt / 8.0
+        if num_bytes <= 0:
+            continue
+        before = connection.total_bytes_received
+        transfer = connection.deliver(num_bytes, now)
+        self.total_bytes_delivered += connection.total_bytes_received - before
+        if transfer is not None:
+            completed.append(transfer)
+    return completed
+
+
+def _advance_many_all(self, max_ticks, dt):
+    """``Network.advance_many`` as it walked every connection before the
+    busy-only walk, kept verbatim (``self`` is the network)."""
+    link = self.link
+    t = self.clock.now
+    clamp_reason = ADVANCE_HORIZON
+    if self.schedule is not None:
+        change_at = self.schedule.next_change_at(t)
+        if change_at != math.inf:
+            clamp = int((change_at - t - 1e-9) / dt) + 1
+            if clamp < max_ticks:
+                max_ticks = clamp
+                clamp_reason = ADVANCE_SCHEDULE
+        capacity = self.schedule.bandwidth_at(t)
+    else:
+        capacity = link.capacity_bps
+    base_capacity = capacity
+    if self.faults is not None:
+        fault_change = self.faults.next_change_at(t)
+        if fault_change != math.inf:
+            if fault_change <= t + 1e-9:
+                return 0, [], ADVANCE_FAULT
+            clamp = int((fault_change - t - 1e-9) / dt) + 1
+            if clamp < max_ticks:
+                max_ticks = clamp
+                clamp_reason = ADVANCE_FAULT
+        if self.faults.dead_air_at(t):
+            capacity = 0.0
+    connections = self.connections
+    executed = 0
+    activity = []
+    while executed < max_ticks:
+        saved = [
+            (
+                c.state,
+                c._handshake_remaining_s,
+                c._request_latency_remaining_s,
+            )
+            for c in connections
+        ]
+        for connection in connections:
+            connection.advance_control(dt)
+        if len(connections) == 1:
+            demand = connections[0].rate_cap_bps()
+            if demand <= 0 or capacity <= 1e-12:
+                allocations = (0.0,)
+            elif demand <= capacity + 1e-12:
+                allocations = (demand,)
+            else:
+                allocations = (capacity,)
+        else:
+            demands = [c.rate_cap_bps() for c in connections]
+            allocations = allocate(capacity, demands)
+        plan = []
+        completing = False
+        for connection, rate_bps in zip(connections, allocations):
+            num_bytes = rate_bps * dt / 8.0
+            if num_bytes <= 0:
+                continue
+            transfer = connection.transfer
+            delivered = min(num_bytes, transfer.remaining_bytes)
+            if (
+                transfer.delivered_bytes + delivered
+                >= transfer.total_bytes - 1e-6
+            ):
+                completing = True
+                break
+            plan.append((connection, transfer, delivered))
+        if completing:
+            for connection, (state, handshake, latency) in zip(
+                connections, saved
+            ):
+                connection.state = state
+                connection._handshake_remaining_s = handshake
+                connection._request_latency_remaining_s = latency
+            clamp_reason = ADVANCE_COMPLETION
+            break
+        before_link = link.total_bytes_delivered
+        for connection, transfer, delivered in plan:
+            if transfer.first_byte_at is None:
+                transfer.first_byte_at = t
+            transfer.delivered_bytes += delivered
+            before = connection.total_bytes_received
+            connection.total_bytes_received = before + delivered
+            connection.cwnd_bytes = min(
+                connection.cwnd_bytes + delivered, connection.max_cwnd_bytes
+            )
+            link.total_bytes_delivered += (
+                connection.total_bytes_received - before
+            )
+        activity.append(link.total_bytes_delivered > before_link)
+        t = round(t + dt, 9)
+        executed += 1
+    if executed and self.schedule is not None:
+        link.set_capacity(base_capacity)
+    return executed, activity, clamp_reason
+
+
+def _transfer_state(transfer):
+    if transfer is None:
+        return None
+    return repr((transfer.total_bytes, transfer.delivered_bytes,
+                 transfer.started_at, transfer.first_byte_at,
+                 transfer.completed_at, transfer.aborted))
+
+
+def _network_state(network):
+    connections = [
+        repr((c.conn_id, c.state, c.cwnd_bytes, c.total_bytes_received,
+              c.connects, c._handshake_remaining_s,
+              c._request_latency_remaining_s, c._idle_since))
+        + str(_transfer_state(c.transfer))
+        for c in network.connections
+    ]
+    link = network.link
+    return connections, repr((link.capacity_bps, link.total_bytes_delivered))
+
+
+class _PathSizedServer:
+    """Serves ``/<n>`` as an ``n``-byte body."""
+
+    def handle(self, request):
+        return ResponsePlan.ok_opaque(int(request.url.lstrip("/")))
+
+
+def _mixed_network(kinds, size_bytes, dead_air):
+    """A network holding every kind of connection the link may see.
+
+    ``kinds`` counts, in order: closed (never used), idle (established,
+    transfer done), reclosed (idle, then closed), steady (past handshake
+    and request latency), connected without a transfer, handshaking
+    with a transfer, and waiting out request latency.  Dead air, when
+    asked for, starts a few ticks after setup and lasts a few more.
+    """
+    closed, idle, reclosed, steady, bare, handshaking, latency = kinds
+    clock = Clock(dt=0.1)
+    schedule = TraceSchedule.from_samples([mbps(6), mbps(2), mbps(9)])
+    network = Network(clock, _PathSizedServer(), schedule)
+
+    def request(connection, size=size_bytes):
+        network.request(connection, HttpRequest(url=f"/{size}"),
+                        lambda response: None)
+
+    def run_until(done):
+        while not done():
+            network.advance(clock.dt)
+            clock.tick()
+
+    for _ in range(closed):
+        network.new_connection("closed")
+    finished = [network.new_connection("idle")
+                for _ in range(idle + reclosed + latency)]
+    for connection in finished:
+        request(connection, size=3_000)
+    run_until(lambda: all(c.transfer is None for c in finished))
+    for connection in finished[idle:idle + reclosed]:
+        connection.close()
+    running = [network.new_connection("steady") for _ in range(steady)]
+    for connection in running:
+        request(connection, size=50_000_000)
+    run_until(lambda: all(c.in_steady_transfer for c in running))
+    for _ in range(bare):
+        network.new_connection("bare").connect(clock.now)
+    for _ in range(handshaking):
+        request(network.new_connection("handshaking"))
+    for connection in finished[idle + reclosed:]:
+        request(connection)
+    if dead_air:
+        network.faults = TransportFaultPlane(dead_air=(
+            DeadAirWindow(clock.now + 0.25, clock.now + 0.75),))
+    return clock, network
+
+
+KINDS = st.tuples(*(st.integers(0, 2) for _ in range(7))).filter(
+    lambda kinds: sum(kinds) > 0)
+
+
+class TestBusyOnlyWalk:
+    """Idle connections drop out of the link walk without a trace: the
+    busy-only walk leaves every connection, transfer and link total
+    exactly where the all-connection walk leaves them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=KINDS,
+           size_bytes=st.sampled_from([20_000, 300_000, 4_000_000]),
+           dead_air=st.booleans())
+    def test_link_advance_matches_the_full_walk(self, kinds, size_bytes,
+                                                dead_air):
+        clock_a, net_a = _mixed_network(kinds, size_bytes, dead_air)
+        clock_b, net_b = _mixed_network(kinds, size_bytes, dead_air)
+        assert _network_state(net_a) == _network_state(net_b)
+        for _ in range(40):
+            completed = []
+            for clock, network, walk in (
+                (clock_a, net_a, _link_advance_all),
+                (clock_b, net_b, BottleneckLink.advance),
+            ):
+                now = clock.now
+                dead = network.faults is not None and (
+                    network.faults.dead_air_at(now))
+                network.link.set_capacity(
+                    0.0 if dead else network.schedule.bandwidth_at(now))
+                done = walk(network.link, network.connections, 0.1, now)
+                completed.append([_transfer_state(t) for t in done])
+                clock.tick()
+            assert completed[0] == completed[1]
+            assert _network_state(net_a) == _network_state(net_b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=KINDS,
+           size_bytes=st.sampled_from([20_000, 300_000, 4_000_000]),
+           dead_air=st.booleans(),
+           chunks=st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    def test_advance_many_matches_the_full_walk(self, kinds, size_bytes,
+                                                dead_air, chunks):
+        clock_a, net_a = _mixed_network(kinds, size_bytes, dead_air)
+        clock_b, net_b = _mixed_network(kinds, size_bytes, dead_air)
+        for chunk in chunks:
+            if not net_b.steady_for_batching():
+                break
+            full = _advance_many_all(net_a, chunk, 0.1)
+            busy = net_b.advance_many(chunk, 0.1)
+            assert busy == full
+            assert _network_state(net_a) == _network_state(net_b)
+            for clock, network in ((clock_a, net_a), (clock_b, net_b)):
+                clock.advance(busy[0])
+                if busy[2] == ADVANCE_COMPLETION or busy[0] == 0:
+                    network.advance(0.1)
+                    clock.tick()
+            assert _network_state(net_a) == _network_state(net_b)
+
+    def test_advance_many_checks_dt_once(self):
+        clock, network = _mixed_network((0, 1, 0, 0, 0, 0, 0), 20_000, False)
+        with pytest.raises(ValueError):
+            network.advance_many(5, 0.0)
 
 
 class TestHttpTypes:
