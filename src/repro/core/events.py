@@ -30,27 +30,26 @@ it pins the design:
 Each producer owns its deadline (phase 2 of the engine):
 
 * **Player**: one ``PLAYER_WAKE`` per session, the minimum over the
-  margin contracts (ABR drain thresholds, segment boundaries,
-  rebuffer/resume flips, retry backoffs).  The deadline is *absolute*
-  and stays valid until the next dispatched tick — mode and margins can
-  only change when a serial tick runs — so it is recomputed once per
+  margin contracts (ABR drain thresholds, rebuffer/resume flips, retry
+  backoffs, the render limit).  The deadline is *absolute* and stays
+  valid until the next dispatched tick — mode and margins can only
+  change when a serial tick runs — so it is recomputed once per
   dispatch and re-pushed only when it actually moved.  Batch rounds in
   between re-derive nothing.
-* **Scheduler**: one advisory ``TRANSFER_COMPLETE`` estimate per
-  in-flight job, pushed when the job's transfers start (closed-form
-  slow-start horizon under a fair capacity share) and cancelled when
-  the job leaves flight.  Estimates never force a dispatch: exact
-  completion boundaries come from ``advance_many``'s stop reason, so a
-  stale estimate is simply dropped.
 * **Fault plane**: static ``FAULT_CHANGE`` entries for dead-air
   boundaries and reset times, registered up front.
 
-``Network.advance_many`` reports *why* it stopped (completion /
-schedule change / fault / horizon).  A ``completion`` stop is a
-promise that the very next tick completes a transfer, so the loop
-dispatches it immediately instead of paying a second ``advance_many``
-probe that would return 0 — and instead of re-deriving player margins
-that cannot have changed.
+A window ends only where the simulation must react (DESIGN.md §4n).
+Segment starts and capacity steps are not reactions: the player's
+no-op replay emits ``SegmentPlayStarted`` on the tick that crosses a
+segment boundary, and ``Network.advance_many`` re-reads the schedule
+on the tick that reaches a change point.  Transfer completions need no
+queue entry either: ``advance_many`` reports *why* it stopped
+(completion / fault / horizon), and a ``completion`` stop is a promise
+that the very next tick completes a transfer, so the loop dispatches it
+immediately instead of paying a second ``advance_many`` probe that
+would return 0 — and instead of re-deriving player margins that cannot
+have changed.
 """
 
 from __future__ import annotations
@@ -78,17 +77,15 @@ class EventType(enum.Enum):
     schedules *when* the engine must look, the post-hoc classifier
     records *what it found*.  ABR/replacement wakes, rebuffer/render
     deadlines and retry-backoff expiries all surface as the player's
-    single ``PLAYER_WAKE`` (the minimum over its margin contracts);
-    ``TRANSFER_COMPLETE`` entries are the scheduler's per-job
-    completion estimates (advisory — the exact boundary comes from
-    ``advance_many``'s stop reason); RRC timers need no events at all —
-    radio state is replayed per-tick inside every batched window.
+    single ``PLAYER_WAKE`` (the minimum over its margin contracts).
+    Transfer completions, segment starts, capacity steps and RRC timers
+    need no events at all: ``advance_many``'s stop reason announces a
+    completion, and the rest are replayed per tick inside every batched
+    window.
     """
 
     PLAYER_WAKE = "player_wake"
-    TRANSFER_COMPLETE = "transfer_complete"
     FAULT_CHANGE = "fault_change"
-    SESSION_END = "session_end"
     # A fleet client's arrival or departure instant (static, registered
     # up front like FAULT_CHANGE): batched windows clamp before it so
     # activation and retirement always happen on a dispatched tick.
@@ -219,13 +216,10 @@ class EventQueue:
 class EventLoopCore:
     """Queue plumbing shared by the single- and multi-session loops.
 
-    Requires the host to provide ``clock``, ``network``, ``queue``,
-    ``max_queue_depth`` and ``_limit``; each host owns its estimate
-    dicts (one per session, or one per client on a shared link).
-    Keeping one implementation of fault registration, estimate
-    management and stale-event skimming is part of the byte-identity
-    argument: both engines batch under exactly the same event
-    semantics.
+    Requires the host to provide ``clock``, ``network``, ``queue`` and
+    ``max_queue_depth``.  Keeping one implementation of fault
+    registration is part of the byte-identity argument: both engines
+    batch under exactly the same event semantics.
     """
 
     def _register_fault_events(self) -> None:
@@ -233,10 +227,8 @@ class EventLoopCore:
 
         Dead-air boundaries and reset times are known at construction;
         each becomes one queue entry.  Schedule change points are *not*
-        events — they only split transfer windows (``advance_many``
-        clamps at ``next_change_at`` and the next planning round
-        resumes batching under the new capacity), and idle windows do
-        not depend on capacity at all.
+        events: ``advance_many`` re-reads the capacity on the tick that
+        reaches one, and idle windows do not depend on capacity at all.
         """
         faults = self.network.faults
         if faults is None:
@@ -249,106 +241,6 @@ class EventLoopCore:
         for at in faults.reset_times:
             self.queue.push(at, EventType.FAULT_CHANGE, "reset")
         self.max_queue_depth = len(self.queue)
-
-    def _next_event_time(self, now: float) -> float:
-        """Earliest pending event, dropping stale completion estimates.
-
-        An estimate that comes due while its job is still in flight
-        under-shot (the closed form assumed a fair share the transfer
-        did not get); it is advisory, so it is popped — never
-        dispatched, which is what keeps estimates out of the ``noop``
-        count — and the exact boundary still arrives as an
-        ``advance_many`` completion stop.
-        """
-        queue = self.queue
-        while True:
-            head = queue.peek()
-            if (
-                head is not None
-                and head.type is EventType.TRANSFER_COMPLETE
-                and head.time <= now + 1e-9
-            ):
-                queue.pop()
-                continue
-            return head.time if head is not None else math.inf
-
-    def _sync_job_estimates_for(
-        self, jobs, estimates: dict[int, Event], share: float | None = None
-    ) -> float | None:
-        """Scheduler-owned events: one completion estimate per job.
-
-        ``estimates`` maps ``id(job)`` to the job's queue entry for one
-        producer.  An estimate is pushed once when the job's transfers
-        start, cancelled when the job leaves flight; never re-pushed in
-        between (the producer's state did not change).  Estimates are
-        advisory lower bounds — when one is exact, the batch round it
-        bounds ends with an ``advance_many`` completion stop at that
-        very tick, making the dispatch queue-predicted; when it
-        under-shoots it is skimmed.
-
-        ``share`` is the link's fair share per live transfer if the
-        caller already knows it; it is counted on the first new job and
-        returned, so a refresh syncing many producers counts the link
-        once.
-        """
-        if not jobs and not estimates:
-            return share
-        queue = self.queue
-        live_keys = set()
-        clock = self.clock
-        now = clock.now
-        dt = clock.dt
-        for job in jobs:
-            key = id(job)
-            live_keys.add(key)
-            if key in estimates:
-                continue
-            if share is None:
-                share = self._fair_share(now)
-            ticks = self._estimate_completion_ticks(job, share, now, dt)
-            estimates[key] = queue.push(
-                now + ticks * dt, EventType.TRANSFER_COMPLETE, job
-            )
-            self._note_depth()
-        if len(estimates) > len(live_keys):
-            for key in [k for k in estimates if k not in live_keys]:
-                queue.cancel(estimates.pop(key))
-        return share
-
-    def _fair_share(self, now: float) -> float:
-        """The link's capacity at ``now`` split over its live transfers."""
-        network = self.network
-        capacity = network.effective_capacity(now)
-        active = sum(
-            1 for conn in network.connections if conn.transfer is not None
-        )
-        return capacity / active if active else capacity
-
-    def _estimate_completion_ticks(
-        self, job, share: float, now: float, dt: float
-    ) -> int:
-        """Closed-form earliest completion for ``job``, in ticks.
-
-        A job completes when its slowest part does, and each part's
-        slow-start horizon is a stays-incomplete bound under ``share``,
-        a fair share of the link.  Sharing the capacity across active
-        transfers biases the estimate *late* on parallel-connection
-        services — a late estimate costs nothing (the completion stop
-        reason lands first and the estimate is cancelled), while an
-        early one would be skimmed and re-derived.
-        """
-        remaining = int((self._limit - now) / dt) + 1
-        if remaining < 1:
-            remaining = 1
-        parts = job.live_transfers()
-        if not parts:
-            return 1
-        ticks = 1
-        for connection, _ in parts:
-            horizon = connection.slow_start_horizon_ticks(share, dt, remaining)
-            if horizon > ticks:
-                ticks = horizon
-        return ticks
 
     def _note_depth(self) -> None:
         depth = len(self.queue)
@@ -379,7 +271,6 @@ class EventDrivenSession(EventLoopCore, Session):
         self.max_queue_depth = 0
         self._wake_handle: Event | None = None
         self._wake_layer = "stalled"
-        self._job_estimates: dict[int, Event] = {}
         self._completion_due = False
         self._limit = 0.0
 
@@ -407,7 +298,7 @@ class EventDrivenSession(EventLoopCore, Session):
                 self._after_dispatch()
                 continue
             now = clock.now
-            next_t = self._next_event_time(now)
+            next_t = self.queue.next_time()
             if next_t <= now + 1e-9:
                 self._dispatch_event_tick(dt)
                 self._after_dispatch()
@@ -485,14 +376,13 @@ class EventDrivenSession(EventLoopCore, Session):
         """Refresh producer-owned deadlines after a serial tick.
 
         Only a dispatched tick can change the player's mode or margins
-        or start/finish jobs, so this is the single point where
-        producers reconsider — batch rounds re-derive nothing.
+        or start/finish jobs, so this is the single point where the
+        producer reconsiders — batch rounds re-derive nothing.
         """
         player = self.player
         if player.ended and not player.scheduler.busy:
             return  # the loop is about to break
         self._reschedule_wake()
-        self._sync_job_estimates()
 
     def _reschedule_wake(self) -> None:
         """Recompute the player's absolute deadline; re-push iff moved.
@@ -536,11 +426,6 @@ class EventDrivenSession(EventLoopCore, Session):
             self.queue.cancel(handle)
         self._wake_handle = self.queue.push(deadline, EventType.PLAYER_WAKE)
         self._note_depth()
-
-    def _sync_job_estimates(self) -> None:
-        self._sync_job_estimates_for(
-            self.player.scheduler.jobs(), self._job_estimates
-        )
 
     def _emit_jump(
         self, start: float, layer: str, ticks: int, bound: str

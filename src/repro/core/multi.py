@@ -11,8 +11,8 @@ Two engines share the byte-identity contract the single-session runner
 established: the lock-step tick loop (:class:`MultiSession`, the
 oracle) and :class:`EventDrivenMultiSession`, which steps the shared
 clock event to event over one :class:`~repro.core.events.EventQueue`
-holding every client's producer deadlines — per-player wakes, per-job
-completion estimates and the fault plane's static change points.
+holding every client's producer deadlines — per-player wakes, churn
+instants and the fault plane's static change points.
 """
 
 from __future__ import annotations
@@ -403,8 +403,7 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
 
     Per-client producer ownership scales the single-session design to N
     players on a shared link: every player keeps one ``PLAYER_WAKE``
-    (its margin-contract deadline, absolute) and one advisory
-    completion estimate per in-flight job, and the fault plane its
+    (its margin-contract deadline, absolute) and the fault plane its
     static entries — all in one shared :class:`EventQueue`.  A
     dispatched tick runs ``network.advance`` for the cell, then a full
     ``player.advance`` only for the clients it *touches* (see
@@ -430,12 +429,8 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         self._limit = 0.0
         self._wake_handles: list[Event | None] = [None] * count
         self._wake_sigs: list[object] = [None] * count
-        # Per client: its scheduler's wire completions at its last full
-        # tick, and its jobs' completion estimates keyed by id(job).
+        # Per client: its scheduler's wire completions at its last full tick.
         self._parts_seen = [0] * count
-        self._job_estimates: list[dict[int, Event]] = [
-            {} for _ in range(count)
-        ]
 
     def run(self, duration_s: float) -> list[ClientResult]:
         dt = self.clock.dt
@@ -457,7 +452,7 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                     break
                 continue
             now = clock.now
-            next_t = self._next_event_time(now)
+            next_t = self.queue.next_time()
             if next_t <= now + 1e-9:
                 if self._dispatch_tick(dt):
                     break
@@ -489,16 +484,12 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                 self._note_depth()
 
     def _retire(self, index: int, now: float) -> None:
-        """Retire the client and cancel every queue entry it owns."""
+        """Retire the client and cancel the wake it owns."""
         super()._retire(index, now)
         handle = self._wake_handles[index]
         if handle is not None:
             self.queue.cancel(handle)
         self._wake_handles[index] = None
-        estimates = self._job_estimates[index]
-        for estimate in estimates.values():
-            self.queue.cancel(estimate)
-        estimates.clear()
 
     def _dispatch_tick(self, dt: float) -> bool:
         """One oracle tick at an event instant; True ends the session.
@@ -547,15 +538,15 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
         return False
 
     def _refresh_producers(self, touched: Sequence[int]) -> None:
-        """Re-arm the touched clients' wakes and job estimates.
+        """Re-arm the touched clients' wakes.
 
         Only a full tick can move a player's mode or margin premises,
-        so bystanders keep their absolute wakes and estimates.  Among
-        the touched, a cheap signature (state, wire completions,
-        in-flight count, emitted events, pause flags) still skips the
-        margin walk when nothing observable moved; a popped or missing
-        wake always recomputes — serial stretches re-vet every tick,
-        exactly like the single-session engine.
+        so bystanders keep their absolute wakes.  Among the touched, a
+        cheap signature (state, wire completions, in-flight count,
+        emitted events, pause flags) still skips the margin walk when
+        nothing observable moved; a popped or missing wake always
+        recomputes — serial stretches re-vet every tick, exactly like
+        the single-session engine.
         """
         queue = self.queue
         players = self.players
@@ -587,13 +578,6 @@ class EventDrivenMultiSession(EventLoopCore, MultiSession):
                 deadline, EventType.PLAYER_WAKE, index
             )
             self._note_depth()
-        share = None
-        for index in touched:
-            share = self._sync_job_estimates_for(
-                players[index].scheduler.jobs(),
-                self._job_estimates[index],
-                share,
-            )
 
     def _player_deadline(self, player: Player) -> float:
         """This player's absolute wake deadline under its current mode.

@@ -300,9 +300,9 @@ class Session:
 
         Every layer must certify the window first: the network that its
         per-tick dynamics are pure delivery arithmetic
-        (``steady_for_batching``), the schedule that capacity is constant
-        (``advance_many`` clamps at ``next_change_at``), the player that
-        it will neither submit nor react (``transfer_noop_ticks``), and
+        (``steady_for_batching``; ``advance_many`` re-reads the capacity
+        on the tick that reaches a schedule change point), the player
+        that it will neither submit nor react (``transfer_noop_ticks``), and
         each transfer that it cannot complete (``slow_start_horizon_ticks``
         — advisory; ``advance_many`` re-checks exactly and stops *before*
         any completing tick, which then runs serially).  Within such a

@@ -29,7 +29,6 @@ DEFAULT_HEADER_OVERHEAD_BYTES = 360
 # run serially; no re-probe needed), metrics label them as-is.
 ADVANCE_HORIZON = "horizon"  # executed everything the caller asked for
 ADVANCE_COMPLETION = "completion"  # next tick would complete a transfer
-ADVANCE_SCHEDULE = "schedule"  # clamped at a capacity change point
 ADVANCE_FAULT = "fault"  # clamped at (or stopped on) a fault change point
 
 
@@ -204,7 +203,7 @@ class Network:
     def fault_horizon_ticks(self, max_ticks: int, dt: float) -> int:
         """Clamp an idle/transfer window so no fault event is skipped.
 
-        Mirrors the schedule clamp in :meth:`advance_many`: the window
+        Mirrors the fault clamp in :meth:`advance_many`: the window
         may only cover ticks strictly before the next fault change
         point, so the change-point tick itself runs serially (which is
         what fires resets — even no-op ones — and keeps the fault
@@ -244,38 +243,30 @@ class Network:
         same delivery order, same float accumulation on
         ``delivered_bytes`` / ``total_bytes_received`` /
         ``total_bytes_delivered`` — while hoisting everything that is
-        provably constant out of the loop: the schedule lookup (the
-        window never crosses ``next_change_at``) and the completion
-        callback scan (the loop stops *before* any tick that would
-        complete a transfer, leaving it to the serial path; control
-        state mutated while planning that tick is restored, so the
-        serial tick re-runs it identically).
+        provably constant out of the loop: the schedule lookup (read
+        again only on the tick whose start reaches ``next_change_at``,
+        exactly as a fresh call at that instant would) and the
+        completion callback scan (the loop stops *before* any tick that
+        would complete a transfer, leaving it to the serial path;
+        control state mutated while planning that tick is restored, so
+        the serial tick re-runs it identically).  Fault change points
+        clamp the window, so dead air neither starts nor stops inside
+        it.
 
         Returns ``(ticks_executed, per_tick_radio_activity, reason)``
         where ``reason`` names why the loop returned (one of
         ``ADVANCE_HORIZON`` / ``ADVANCE_COMPLETION`` /
-        ``ADVANCE_SCHEDULE`` / ``ADVANCE_FAULT``).  ``completion`` is a
-        promise: the very next tick completes a transfer, so the caller
-        can dispatch it serially without a wasted re-probe.  The clock
-        is NOT advanced — the caller replays clock/RRC/player effects.
+        ``ADVANCE_FAULT``).  ``completion`` is a promise: the very next
+        tick completes a transfer, so the caller can dispatch it
+        serially without a wasted re-probe.  The clock is NOT advanced
+        — the caller replays clock/RRC/player effects.
         """
         check_positive("dt", dt)
         link = self.link
+        schedule = self.schedule
         t = self.clock.now
         clamp_reason = ADVANCE_HORIZON
-        if self.schedule is not None:
-            change_at = self.schedule.next_change_at(t)
-            if change_at != math.inf:
-                # Largest n with every tick start t + k*dt (k < n)
-                # strictly before the change.
-                clamp = int((change_at - t - 1e-9) / dt) + 1
-                if clamp < max_ticks:
-                    max_ticks = clamp
-                    clamp_reason = ADVANCE_SCHEDULE
-            capacity = self.schedule.bandwidth_at(t)
-        else:
-            capacity = link.capacity_bps
-        base_capacity = capacity
+        dead_air = False
         if self.faults is not None:
             fault_change = self.faults.next_change_at(t)
             if fault_change != math.inf:
@@ -284,12 +275,20 @@ class Network:
                     # serial path must execute this tick so the reset
                     # cursor advances exactly as in a serial run.
                     return 0, [], ADVANCE_FAULT
+                # Largest n with every tick start t + k*dt (k < n)
+                # strictly before the change.
                 clamp = int((fault_change - t - 1e-9) / dt) + 1
                 if clamp < max_ticks:
                     max_ticks = clamp
                     clamp_reason = ADVANCE_FAULT
-            if self.faults.dead_air_at(t):
-                capacity = 0.0
+            dead_air = self.faults.dead_air_at(t)
+        # The tick index at which the schedule is read next: the first
+        # tick reads it, and every later read happens on the tick whose
+        # start reaches a change point, as a fresh call there would.
+        step_at = 0 if schedule is not None else max_ticks
+        read_at = -1
+        base_capacity = previous = link.capacity_bps
+        capacity = 0.0 if dead_air else base_capacity
         # No transfer starts or ends inside a window, so the busy set is
         # fixed for the call (a handshake that completes without a
         # transfer leaves a connection whose steps stay no-ops).  Only
@@ -300,6 +299,16 @@ class Network:
         executed = 0
         activity: list[bool] = []
         while executed < max_ticks:
+            if executed == step_at:
+                read_at, previous = executed, base_capacity
+                base_capacity = schedule.bandwidth_at(t)
+                capacity = 0.0 if dead_air else base_capacity
+                change_at = schedule.next_change_at(t)
+                step_at = (
+                    executed + int((change_at - t - 1e-9) / dt) + 1
+                    if change_at != math.inf
+                    else max_ticks
+                )
             if pending:
                 saved = [
                     (
@@ -350,6 +359,8 @@ class Network:
                         connection.state = state
                         connection._handshake_remaining_s = handshake
                         connection._request_latency_remaining_s = latency
+                if read_at == executed:
+                    base_capacity = previous  # no tick ran at this rate
                 clamp_reason = ADVANCE_COMPLETION
                 break
             before_link = link.total_bytes_delivered
@@ -370,10 +381,11 @@ class Network:
             executed += 1
             if pending:
                 pending = [c for c in pending if not c.in_steady_transfer]
-        if executed and self.schedule is not None:
-            # The serial loop re-asserts the (identical) capacity every
-            # tick; leave the link in the same state.  Under dead air
-            # the serial tick restores the schedule capacity afterwards,
-            # so mirror that by asserting the un-faulted value.
+        if executed and schedule is not None:
+            # The serial loop asserts the schedule's capacity every tick;
+            # leave the link as the last executed tick left it.  Under
+            # dead air the serial tick restores the schedule capacity
+            # afterwards, so mirror that by asserting the un-faulted
+            # value.
             link.set_capacity(base_capacity)
         return executed, activity, clamp_reason

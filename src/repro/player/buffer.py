@@ -212,6 +212,19 @@ class PlaybackBuffer:
         index, i = self._cover(position_s)
         return index.segments[i] if i >= 0 else None
 
+    def cover_end(self, position_s: float) -> float:
+        """Where the segment covering ``position_s`` stops covering: its
+        covering end (``end_s - 1e-9``) on a separated index.
+
+        On a separated index that segment covers every position from
+        ``position_s`` up to the returned bound, until the buffer
+        mutates.  ``-inf`` when nothing covers ``position_s`` or the
+        index is not separated: every position then needs its own
+        :meth:`segment_covering`.
+        """
+        index, i = self._cover(position_s)
+        return index.ends[i] if i >= 0 and index.separated else -math.inf
+
     def run_end_s(self, position_s: float) -> float | None:
         """Where the content playable without a gap from ``position_s``
         ends, or None when no segment covers ``position_s``.

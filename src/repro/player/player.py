@@ -253,7 +253,7 @@ class Player:
         if within:
             for stream in self._streams():
                 self.buffers[stream].consume_until(position_s)
-            self._note_play_index()
+            self._note_play_index(position_s, self.clock.now)
             return
         for stream in self._streams():
             dropped = self.buffers[stream].clear()
@@ -298,13 +298,18 @@ class Player:
         Callers must already have established that nothing is in flight
         (``scheduler.busy`` is False and every connection is idle).  The
         returned count is the largest window in which per-tick
-        ``advance`` calls would only move the playhead and emit UI
-        samples: no state transition, no segment-boundary crossing, no
-        pause/resume flip, no ABR output change (via the algorithm's
-        ``buffer_wake_thresholds`` contract), no replacement action (via
-        the policy's ``wake_time`` contract), no retry-block expiry and
-        no new fetch.  Unknown ABR or replacement implementations make
-        the window empty, never wrong.
+        ``advance`` calls would only move the playhead, emit UI samples
+        and start the next buffered video segment
+        (``SegmentPlayStarted``, replayed by :meth:`apply_noop_ticks`):
+        no state transition, no pause/resume flip, no ABR output change
+        (via the algorithm's ``buffer_wake_thresholds`` contract), no
+        replacement action (via the policy's ``wake_time`` contract),
+        no retry-block expiry and no new fetch.  Segment boundaries do
+        not end the window: the render limit keeps the playhead inside
+        one contiguous buffered run, so the forward index, and with it
+        every fetch decision, is the same on both sides of a boundary.
+        Unknown ABR or replacement implementations make the window
+        empty, never wrong.
         """
         if self.state is PlayerState.ENDED:
             return max_ticks
@@ -326,9 +331,6 @@ class Player:
             # right after a rebuffer exit, which flips to PLAYING without
             # noting the play index); run it serially.
             return 0
-        # Crossing into the next segment emits SegmentPlayStarted and
-        # shifts every forward-index computation.
-        margins.append(video_cover.end_s - pos)
 
         for stream in self._streams():
             occupancy = self.buffer_s(stream)
@@ -543,11 +545,12 @@ class Player:
         transfer will complete inside the returned window (the network
         applies its own horizon and stops before any completion).  Under
         that premise buffers never gain content, so the only per-tick
-        player effects are the playhead (when PLAYING) and the 1 Hz UI
-        samples; this returns the largest tick count for which that
-        provably holds — no state transition, no segment-boundary
-        crossing, no pause/resume flip, no scheduler submission — or 0
-        when the current tick might do more.
+        player effects are the playhead (when PLAYING), the segment
+        starts it crosses and the 1 Hz UI samples, all replayed by
+        :meth:`apply_noop_ticks`; this returns the largest tick count
+        for which that provably holds — no state transition, no
+        pause/resume flip, no scheduler submission — or 0 when the
+        current tick might do more.
         """
         if self.state is PlayerState.ENDED:
             return max_ticks  # advance() only emits UI samples
@@ -579,7 +582,6 @@ class Player:
                 return 0
             if video_cover.index != self._current_play_index:
                 return 0  # SegmentPlayStarted due this tick; run serially
-            margins.append(video_cover.end_s - pos)
         elif self.state is PlayerState.BUFFERING:
             # Readiness depends only on buffer contents (static in the
             # window) — if it holds now the transition runs this tick.
@@ -612,9 +614,13 @@ class Player:
         window vetted by :meth:`idle_noop_ticks` or
         :meth:`transfer_noop_ticks`: when PLAYING the position
         accumulates by repeated ``+= dt`` (otherwise it holds still,
-        exactly as ``_advance_playback`` would) and each tick's UI
+        exactly as ``_advance_playback`` would), the tick whose advanced
+        position leaves the covering video segment emits
+        ``SegmentPlayStarted`` at its start time, and each tick's UI
         samples are emitted against that tick's pre-advance clock value,
-        exactly as the per-tick path would.
+        exactly as the per-tick path would.  Played segments are
+        released once, at the end: a released segment never covers a
+        later position, so the coverage answers do not depend on when.
         """
         if count <= 0:
             return
@@ -623,9 +629,15 @@ class Player:
         next_ui = self._next_ui_at
         samples = self.ui_samples
         advancing = self.state is PlayerState.PLAYING
+        if advancing:
+            video = self.buffers[StreamType.VIDEO]
+            cover_end = video.cover_end(pos)
         for _ in range(count):
             if advancing:
                 pos += dt
+                if pos >= cover_end:
+                    self._note_play_index(pos, t)
+                    cover_end = video.cover_end(pos)
             while t + _EPS >= next_ui:
                 samples.append(ProgressSample(at=next_ui, position_s=pos))
                 next_ui += 1.0
@@ -666,7 +678,7 @@ class Player:
                     self.events.emit(PlaybackStarted(at=now))
                     self._ever_started = True
                 self.state = PlayerState.PLAYING
-                self._note_play_index()
+                self._note_play_index(self._play_pos, now)
             return
         if self.state is PlayerState.REBUFFERING:
             if self._rebuffer_ready():
@@ -688,7 +700,7 @@ class Player:
             self.events.emit(StallStarted(at=now, position_s=self._play_pos))
             return
         self._play_pos += advance
-        self._note_play_index()
+        self._note_play_index(self._play_pos, now)
         for stream in self._streams():
             self.buffers[stream].consume_until(self._play_pos)
         if (
@@ -750,16 +762,18 @@ class Player:
             for stream in self._streams():
                 self.buffers[stream].consume_until(self._play_pos)
             if self.state is PlayerState.PLAYING:
-                self._note_play_index()
+                self._note_play_index(self._play_pos, self.clock.now)
 
-    def _note_play_index(self) -> None:
-        segment = self.buffers[StreamType.VIDEO].segment_covering(self._play_pos)
+    def _note_play_index(self, position_s: float, at: float) -> None:
+        """Emit ``SegmentPlayStarted`` at ``at`` when the video segment
+        covering ``position_s`` is not the one playing."""
+        segment = self.buffers[StreamType.VIDEO].segment_covering(position_s)
         if segment is None or segment.index == self._current_play_index:
             return
         self._current_play_index = segment.index
         self.events.emit(
             SegmentPlayStarted(
-                at=self.clock.now,
+                at=at,
                 index=segment.index,
                 level=segment.level,
                 declared_bitrate_bps=segment.declared_bitrate_bps,

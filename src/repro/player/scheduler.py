@@ -89,9 +89,10 @@ class FetchJob:
     def live_transfers(self) -> list:
         """(connection, transfer) pairs of this job still on the wire.
 
-        The event engine reads these to estimate a job's earliest
-        completion; a part whose connection has moved on (completed,
-        aborted, reused) is excluded.
+        The shared-link event engine reads these to tell a player with
+        a download on the wire from one whose jobs have none; a part
+        whose connection has moved on (completed, aborted, reused) is
+        excluded.
         """
         return [
             (connection, transfer)

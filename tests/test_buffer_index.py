@@ -330,7 +330,11 @@ def test_steady_playback_keeps_the_index_in_place(monkeypatch):
                    engine="event")
     player = run_one(spec).result.player
     mutations = sum(buffer.mutations for buffer in player.buffers.values())
-    assert mutations > 1000
+    # Batched windows release played segments once per window, not once
+    # per segment, so a few hundred of the releases share a mutation:
+    # this session makes 762 mutations.  The floor only checks that the
+    # session did the appending and releasing the bound is about.
+    assert mutations > 700
     assert len(builds) <= mutations // 100
 
 

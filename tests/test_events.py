@@ -124,7 +124,7 @@ def test_cancel_then_reregister_keeps_exactly_one_live():
 
 def test_cancel_after_pop_is_harmless():
     queue = EventQueue()
-    event = queue.push(1.0, EventType.TRANSFER_COMPLETE)
+    event = queue.push(1.0, EventType.PLAYER_WAKE)
     assert queue.pop() is event
     queue.cancel(event)  # stale handle: must not corrupt the live count
     queue.cancel(event)

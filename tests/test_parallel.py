@@ -182,7 +182,10 @@ def test_fast_forward_actually_skips_ticks():
     # H4 pauses for 20 s stretches and fully buffers the 180 s content:
     # most of the session is provably idle.
     assert session.fast_forwarded_ticks > 600
-    assert session.fast_forward_jumps >= 2
+    # Segment starts replay inside the idle window, so the buffered tail
+    # plays out in one jump: 31 serial ticks (50 when every segment
+    # start ended a window).
+    assert session.ticks_executed < 50
 
 
 def test_fast_forward_invariant_on_fully_buffered_tail():
