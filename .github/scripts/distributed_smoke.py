@@ -44,7 +44,6 @@ def _grid():
         ["H1", "S1", "D2", "H4", "H6", "D1"],
         [2, 9],
         duration_s=DURATION_S,
-        fast_forward=True,
     )
 
 

@@ -22,7 +22,6 @@ def main() -> None:
         ALL_SERVICE_NAMES,
         range(1, PROFILE_COUNT + 1),
         duration_s=45.0,
-        fast_forward=True,
     )
     reference = execute(grid, workers=0)
     with tempfile.TemporaryDirectory() as root:

@@ -37,7 +37,6 @@ def _grid():
         ["H1", "S1", "D2", "H4"],
         [2, 9],
         duration_s=DURATION_S,
-        fast_forward=True,
     )
 
 

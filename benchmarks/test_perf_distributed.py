@@ -51,7 +51,6 @@ def _grid():
         ALL_SERVICE_NAMES,
         GRID_PROFILES,
         duration_s=GRID_DURATION_S,
-        fast_forward=True,
     )
 
 

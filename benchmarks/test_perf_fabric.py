@@ -1,6 +1,6 @@
 """Sweep fabric: pool persistence, encode locality and the outcome cache.
 
-Times the full paper grid (12 services x 14 profiles, fast-forwarded)
+Times the full paper grid (12 services x 14 profiles, event engine)
 through the three fabric layers and writes the numbers to
 ``benchmarks/BENCH_fabric.json``:
 
@@ -63,7 +63,6 @@ def test_perf_fabric(benchmark, show, tmp_path):
         ALL_SERVICE_NAMES,
         range(1, PROFILE_COUNT + 1),
         duration_s=GRID_DURATION_S,
-        fast_forward=True,
     )
     catalogues = len({catalogue_key(spec) for spec in grid})
     workers = max(default_worker_count(), 2)
@@ -149,7 +148,7 @@ def test_perf_fabric(benchmark, show, tmp_path):
     FABRIC_BASELINE_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
 
     show(
-        "Sweep fabric (full grid, fast-forward)",
+        "Sweep fabric (full grid, event engine)",
         ["variant", "wall s", "speedup", "identical"],
         [
             ["serial (in-process)", f"{results['serial']['wall_s']:.2f}",

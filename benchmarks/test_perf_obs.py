@@ -10,7 +10,6 @@ the enabled runs are compared against them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -42,16 +41,15 @@ def test_perf_obs_overhead(benchmark, show):
     grid = sweep_grid(
         ALL_SERVICE_NAMES, GRID_PROFILES, duration_s=GRID_DURATION_S
     )
-    ff_grid = [dataclasses.replace(spec, fast_forward=True) for spec in grid]
 
     def run():
         clear_asset_cache()
         # Warm the encode cache outside the timed region.
-        execute(ff_grid, workers=0)
+        execute(grid, workers=0)
 
-        disabled, disabled_wall = _timed(ff_grid)
-        traced, traced_wall = _timed(ff_grid, tracer=True)
-        profiled, profiled_wall = _timed(ff_grid, tracer=True, profile=True)
+        disabled, disabled_wall = _timed(grid)
+        traced, traced_wall = _timed(grid, tracer=True)
+        profiled, profiled_wall = _timed(grid, tracer=True, profile=True)
 
         events = sum(len(outcome.trace) for outcome in traced)
         return {

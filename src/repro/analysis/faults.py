@@ -7,8 +7,8 @@ errors, response truncation); transport-side models (dead air, latency
 spikes, connection resets) live in :mod:`repro.net.faults`.  A
 :class:`FaultSpec` bundles both sides into one frozen, picklable value
 that rides inside a ``RunSpec``, so a faulted run is exactly
-reproducible in-process, across worker processes, and under both
-fast-forward paths.
+reproducible in-process, across worker processes, and on both
+engines.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ class FaultInjectingHandler:
     keep seeing what actually went over the wire).  Fault decisions are
     clock-driven (bursts) or drawn from per-model seeded streams, so
     the injected sequence depends only on the request sequence — which
-    is identical between serial and fast-forwarded runs because
-    requests are only issued on serially-executed ticks.
+    is identical between tick and event runs because requests are only
+    issued on serially-executed ticks.
     """
 
     def __init__(self, origin, clock: Clock, spec: FaultSpec):

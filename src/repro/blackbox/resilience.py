@@ -7,7 +7,7 @@ cell one deterministic faulted session summarised by its stall /
 failure / QoE profile.  Scenarios are plain frozen values built from
 :class:`~repro.analysis.faults.FaultSpec`, so the whole sweep rides the
 parallel engine and reproduces bit-identically for any ``--workers``
-setting and with fast-forward on or off.
+setting and on either engine.
 """
 
 from __future__ import annotations
@@ -136,16 +136,15 @@ class ResilienceReport:
 
     profile_id: int
     duration_s: float
-    fast_forward: bool
     scenarios: tuple[FaultScenario, ...]
     cells: tuple[ResilienceCell, ...]
-    # Which simulation core produced the cells ("tick" | "event").
+    # Which simulation core produced the cells ("event" | "tick").
     # Compared: the engine axis is part of what the sweep ran, even
     # though cells are pinned identical across engines.
-    engine: str = "tick"
+    engine: str = "event"
     # Sweep-wide aggregated metrics.  Excluded from equality: tick-mode
-    # counters legitimately differ across fast-forward settings while
-    # the report's semantic content stays identical.
+    # counters legitimately differ across engines while the report's
+    # semantic content stays identical.
     metrics: Optional[MetricsSnapshot] = field(default=None, compare=False)
 
     def cell(self, service: str, scenario: str) -> ResilienceCell:
@@ -158,7 +157,6 @@ class ResilienceReport:
         return {
             "profile_id": self.profile_id,
             "duration_s": self.duration_s,
-            "fast_forward": self.fast_forward,
             "engine": self.engine,
             "scenarios": [
                 {"name": s.name, "description": s.description}
@@ -252,8 +250,7 @@ def run_resilience_sweep(
     profile_id: int = 9,
     duration_s: float = 120.0,
     workers: int = 0,
-    fast_forward: bool = True,
-    engine: str = "tick",
+    engine: str = "event",
     cache: CacheSpec = None,
     policy: Optional[SweepPolicy] = None,
     journal: JournalSpec = None,
@@ -264,8 +261,8 @@ def run_resilience_sweep(
     Determinism contract: the report is a pure function of the
     arguments — records come back in spec order from the sweep engine,
     and each cell is a pure function of its spec — so any ``workers``
-    value (and either ``fast_forward`` setting, per the fault-plane
-    change-point contract) yields an identical report.  ``cache``
+    value (and either engine, per the fault-plane change-point
+    contract) yields an identical report.  ``cache``
     (sweep-fabric outcome cache) memoises cells: fault specs are frozen
     data, so a faulted outcome is as content-addressable as a clean
     one, and a re-run sweep costs disk reads.
@@ -291,7 +288,6 @@ def run_resilience_sweep(
                     service=service,
                     profile_id=profile_id,
                     duration_s=duration_s,
-                    fast_forward=fast_forward,
                     faults=scenario.faults,
                     config_overrides=scenario.config_overrides,
                     engine=engine,
@@ -314,7 +310,6 @@ def run_resilience_sweep(
     return ResilienceReport(
         profile_id=profile_id,
         duration_s=duration_s,
-        fast_forward=fast_forward,
         engine=engine,
         scenarios=tuple(scenarios),
         cells=tuple(cells),

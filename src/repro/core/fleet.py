@@ -136,9 +136,8 @@ class FleetSpec:
 
     * **explicit** (``clients=None``): one client per ``services``
       entry, in order, devices cycling through ``devices`` — the
-      deterministic mode the ``run_shared_link`` compatibility shim
-      uses, reproducing its exact per-client naming, seeding and URL
-      namespaces.
+      deterministic mode for hand-built rosters, with per-client
+      naming, seeding and URL namespaces fixed by position.
     * **weighted** (``clients=N``): each client's service and device
       class are drawn from the pools under ``service_weights`` /
       ``device_weights`` with seeded generators, so a thousand-client
@@ -173,7 +172,6 @@ class FleetSpec:
     trace_seed: int = TRACE_SEED
     schedule: Optional[BandwidthSchedule] = None
     faults: Optional[FaultSpec] = None
-    fast_forward: bool = False
     engine: str = "event"
 
     def __post_init__(self) -> None:
@@ -494,9 +492,9 @@ class FleetSession:
     Thin composition over :class:`~repro.core.multi.MultiSession` /
     :class:`~repro.core.multi.EventDrivenMultiSession`: per-client
     naming (``H1#7``), content seeding (``content_seed + index``) and
-    URL namespacing (``https://cdn7.example.com``) reproduce the old
-    ``run_shared_link`` construction exactly, which is what makes the
-    compatibility shim — and the small-N identity tests — byte-exact.
+    URL namespacing (``https://cdn7.example.com``) are fixed by the
+    client's roster position, so both engines build the same cell and
+    the small-N identity tests compare byte for byte.
     """
 
     def __init__(self, spec: FleetSpec):
@@ -538,7 +536,6 @@ class FleetSession:
             spec.resolved_schedule(),
             dt=spec.dt,
             rtt_s=spec.rtt_s,
-            fast_forward=spec.fast_forward,
             faults=spec.faults,
             arrivals=[plan.arrival_s for plan in self.plans],
             departures=[plan.departure_s for plan in self.plans],
@@ -555,14 +552,7 @@ class FleetSession:
 
     @property
     def tick_stats(self) -> TickStats:
-        session = self.session
-        return TickStats(
-            ticks_executed=session.ticks_executed,
-            idle_fast_forwarded_ticks=session.fast_forwarded_ticks,
-            idle_fast_forward_jumps=session.fast_forward_jumps,
-            transfer_fast_forwarded_ticks=0,
-            transfer_fast_forward_jumps=0,
-        )
+        return TickStats.from_session(self.session)
 
 
 def _populate_registry(

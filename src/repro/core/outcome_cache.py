@@ -12,9 +12,8 @@ Addressing is by content, never by name:
 * **spec key** — a SHA-256 over the *canonicalized* spec: every field
   that can influence the outcome, resolved to its effective value
   (``content_seed=None`` hashes like its resolved seed, a profile id
-  hashes like the schedule it generates, ``transfer_fast_forward=None``
-  hashes like the ``fast_forward`` value it follows) and serialized
-  with sorted field names, so field order and spelled-out defaults
+  hashes like the schedule it generates) and serialized with sorted
+  field names, so field order and spelled-out defaults
   cannot split the key space;
 * **code fingerprint** — a SHA-256 over every source file of the
   ``repro`` package plus :data:`SCHEMA_VERSION`.  Any code change moves
@@ -54,7 +53,7 @@ if TYPE_CHECKING:  # circular at runtime: run.py imports this module
 
 #: Bump to invalidate every cached outcome when the *meaning* of an
 #: entry changes without a source change (e.g. a field reinterpreted).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -123,9 +122,8 @@ def canonical_spec(spec: "RunSpec", *, check_sinks: bool = True) -> "RunSpec":
     """Resolve every lazily-defaulted field to its effective value.
 
     Two specs that *execute identically* must canonicalize identically:
-    the seed default, the (profile, trace) -> schedule resolution chain,
-    the content-duration fallback and the transfer-fast-forward
-    follow-the-flag default are all collapsed here.
+    the seed default, the (profile, trace) -> schedule resolution chain
+    and the content-duration fallback are all collapsed here.
 
     ``check_sinks=False`` skips the file-backed-trace-sink refusal:
     the sweep journal (:mod:`repro.core.supervisor`) uses it because a
@@ -152,11 +150,6 @@ def canonical_spec(spec: "RunSpec", *, check_sinks: bool = True) -> "RunSpec":
         trace=None,
         trace_duration_s=None,
         trace_seed=0,
-        transfer_fast_forward=(
-            spec.fast_forward
-            if spec.transfer_fast_forward is None
-            else spec.transfer_fast_forward
-        ),
     )
 
 

@@ -89,10 +89,6 @@ class RunSpec:
     rtt_s: float = 0.05
     content_seed: Optional[int] = None  # default: DEFAULT_CONTENT_SEED + repetition
     content_duration_s: Optional[float] = None
-    fast_forward: bool = False
-    # None follows fast_forward; False isolates idle-only batching
-    # (benchmarks use it to attribute speedup between the two layers).
-    transfer_fast_forward: Optional[bool] = None
     trace: Optional[CellularTrace] = None  # overrides (profile_id, trace_seed)
     trace_duration_s: Optional[float] = None
     trace_seed: int = TRACE_SEED
@@ -105,11 +101,11 @@ class RunSpec:
     schedule: Optional[BandwidthSchedule] = None
     # Observability: per-run trace sink description (None = disabled).
     tracing: Optional[TraceConfig] = None
-    # Simulation engine: "tick" is the per-tick oracle loop (with its
-    # optional fast-forward layers), "event" the event-driven core
-    # (core/events.py) that is pinned byte-identical to it.  Part of
-    # the compared spec, so it participates in the outcome-cache key.
-    engine: str = "tick"
+    # Simulation engine: "event" is the event-driven core
+    # (core/events.py), "tick" the per-tick oracle loop it is pinned
+    # byte-identical to.  Part of the compared spec, so it
+    # participates in the outcome-cache key.
+    engine: str = "event"
 
     @property
     def service_name(self) -> str:
@@ -187,8 +183,6 @@ class RunSpec:
             rtt_s=self.rtt_s,
             manifest_rewriter=manifest_rewriter,
             reject_after_segments=reject_after_segments,
-            fast_forward=self.fast_forward,
-            transfer_fast_forward=self.transfer_fast_forward,
             faults=self.faults,
             obs=obs,
         )
@@ -315,8 +309,11 @@ class TickStats:
     """How a session's simulated ticks were actually executed.
 
     Kept out of :class:`RunRecord` on purpose: records are compared
-    with ``==`` across serial / parallel / fast-forward backends, and
-    tick accounting is exactly the thing that differs between them.
+    with ``==`` across engines and serial / parallel backends, and
+    tick accounting is exactly the thing that differs between engines.
+    The tick oracle only executes; the event engines count their
+    batched windows as idle (no transfer on the link) or transfer
+    (``Network.advance_many``) ticks.
     """
 
     ticks_executed: int  # full serial loop iterations
@@ -334,7 +331,8 @@ class TickStats:
         )
 
     @staticmethod
-    def from_session(session: Session) -> "TickStats":
+    def from_session(session) -> "TickStats":
+        """From a single or a shared-link session: both keep these counters."""
         return TickStats(
             ticks_executed=session.ticks_executed,
             idle_fast_forwarded_ticks=session.fast_forwarded_ticks,

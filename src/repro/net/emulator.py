@@ -4,11 +4,14 @@ The paper's network emulator replays traces and crafts bandwidth
 profiles ("carefully designing the bandwidth profile, we are able to
 force players to react").  These combinators make such crafting
 compositional: scale a trace, concatenate phases, add seeded jitter,
-or clamp into a range.
+or clamp into a range.  Each combinator keeps the
+:class:`~repro.net.schedule.BandwidthSchedule` contract: its
+``next_change_at`` is never later than the first time its rate moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.net.schedule import BandwidthSchedule
@@ -28,6 +31,9 @@ class ScaledSchedule:
     def bandwidth_at(self, time_s: float) -> float:
         return self.inner.bandwidth_at(time_s) * self.factor
 
+    def next_change_at(self, time_s: float) -> float:
+        return self.inner.next_change_at(time_s)
+
 
 @dataclass(frozen=True)
 class ClampedSchedule:
@@ -45,6 +51,9 @@ class ClampedSchedule:
     def bandwidth_at(self, time_s: float) -> float:
         return min(max(self.inner.bandwidth_at(time_s), self.floor_bps),
                    self.ceiling_bps)
+
+    def next_change_at(self, time_s: float) -> float:
+        return self.inner.next_change_at(time_s)
 
 
 class ConcatSchedule:
@@ -70,6 +79,21 @@ class ConcatSchedule:
         last_schedule, _ = self.phases[-1]
         return last_schedule.bandwidth_at(time_s - offset)
 
+    def next_change_at(self, time_s: float) -> float:
+        """The earlier of the current phase's end and its own next change.
+
+        Phase ends are the float sums :meth:`bandwidth_at` compares
+        against.  The inner answer is shifted by the phase offset and
+        stepped back past any rounding that would make it late.
+        """
+        offset = 0.0
+        for schedule, duration in self.phases[:-1]:
+            end = offset + duration
+            if time_s < end:
+                return min(end, _shifted_change(schedule, time_s, offset))
+            offset = end
+        return _shifted_change(self.phases[-1][0], time_s, offset)
+
 
 class JitteredSchedule:
     """Seeded multiplicative per-second jitter on top of a schedule."""
@@ -90,3 +114,26 @@ class JitteredSchedule:
     def bandwidth_at(self, time_s: float) -> float:
         factor = self._factors[int(time_s) % len(self._factors)]
         return self.inner.bandwidth_at(time_s) * factor
+
+    def next_change_at(self, time_s: float) -> float:
+        # The factor is drawn per whole second.
+        return min(self.inner.next_change_at(time_s), math.floor(time_s) + 1)
+
+
+def _shifted_change(
+    inner: BandwidthSchedule, time_s: float, offset: float
+) -> float:
+    """``offset + inner.next_change_at(time_s - offset)``, never late.
+
+    The phase reads ``inner`` at ``t - offset``; the sum can round one
+    ulp past the first ``t`` whose difference reaches the inner change,
+    so step back while the time just before it already does.
+    """
+    change = inner.next_change_at(time_s - offset)
+    at = offset + change
+    while at > time_s:
+        before = math.nextafter(at, -math.inf)
+        if before - offset < change:
+            break
+        at = before
+    return at

@@ -192,32 +192,6 @@ class Network:
             sum(connection.connects for connection in self.connections)
         )
 
-    def effective_capacity(self, t: float) -> float:
-        """Link capacity at ``t`` with tick-level faults applied."""
-        if self.faults is not None and self.faults.dead_air_at(t):
-            return 0.0
-        if self.schedule is not None:
-            return self.schedule.bandwidth_at(t)
-        return self.link.capacity_bps
-
-    def fault_horizon_ticks(self, max_ticks: int, dt: float) -> int:
-        """Clamp an idle/transfer window so no fault event is skipped.
-
-        Mirrors the fault clamp in :meth:`advance_many`: the window
-        may only cover ticks strictly before the next fault change
-        point, so the change-point tick itself runs serially (which is
-        what fires resets — even no-op ones — and keeps the fault
-        cursor identical to a serial run).
-        """
-        if self.faults is None:
-            return max_ticks
-        change = self.faults.next_change_at(self.clock.now)
-        if change == math.inf:
-            return max_ticks
-        if change <= self.clock.now + 1e-9:
-            return 0
-        return min(max_ticks, int((change - self.clock.now - 1e-9) / dt) + 1)
-
     def steady_for_batching(self) -> bool:
         """True when batched ticks can replay this network exactly.
 

@@ -26,11 +26,13 @@ class BandwidthSchedule(Protocol):
     def next_change_at(self, time_s: float) -> float:
         """Earliest ``t > time_s`` at which the rate may differ.
 
-        Contract for the fast-forward machinery: ``bandwidth_at`` is
-        constant over ``[time_s, next_change_at(time_s))``.  Returning
-        ``math.inf`` promises the rate never changes again; a
-        conservative implementation may return any smaller time, at the
-        cost of shorter batched windows.
+        Contract for the event engine's batched windows
+        (``Network.advance_many`` re-reads the rate only on the tick
+        that reaches this time): ``bandwidth_at`` is constant over
+        ``[time_s, next_change_at(time_s))``.  Returning ``math.inf``
+        promises the rate never changes again; a conservative
+        implementation may return any smaller time, at the cost of
+        more re-reads.
         """
         ...
 

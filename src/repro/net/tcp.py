@@ -147,7 +147,7 @@ class TcpConnection:
 
         In this phase ``advance_control`` is a no-op and the per-tick
         dynamics reduce to pure delivery arithmetic, which is what makes
-        the connection eligible for batched (fast-forwarded) ticks.
+        the connection eligible for batched ticks.
         """
         return (
             self._transfer is not None

@@ -2,11 +2,11 @@
 
 The paper's methodology observes a session from the outside (proxy
 flows, 1 Hz UI samples); this module is the matching *inside* view — a
-structured record of what the scheduler, player and fast-forward layers
-actually decided.  Emission sites only ever fire on serially-executed
-ticks (submissions, completions, failures, state transitions), so a
-fast-forwarded run produces the same semantic trace as a serial one;
-the batching layers additionally emit ``ff_jump`` *meta* events whose
+structured record of what the scheduler, player and engine actually
+decided.  Emission sites only ever fire on serially-executed ticks
+(submissions, completions, failures, state transitions), so an event
+engine run produces the same semantic trace as the tick oracle; the
+event engine additionally emits ``event_jump`` *meta* events whose
 span boundaries cover each batched window.
 
 Design rules:
@@ -28,10 +28,9 @@ from dataclasses import asdict, dataclass
 from typing import IO, ClassVar, Iterable, Optional, Protocol, Union, runtime_checkable
 
 #: Event kinds that describe the *simulation* rather than the session
-#: (fast-forward and event-engine jumps).  They legitimately differ
-#: between serial and batched executions and are excluded from
-#: :func:`semantic_trace`.
-META_KINDS = frozenset({"ff_jump", "event_jump"})
+#: (event-engine jumps).  They legitimately differ between serial and
+#: batched executions and are excluded from :func:`semantic_trace`.
+META_KINDS = frozenset({"event_jump"})
 
 
 @dataclass(frozen=True)
@@ -105,21 +104,6 @@ class RetryEvent(TraceEvent):
     level: Optional[int]
     attempts: int
     gave_up: bool
-
-
-@dataclass(frozen=True)
-class FfJump(TraceEvent):
-    """A fast-forward layer batched ``ticks`` ticks into one jump (meta).
-
-    ``at`` is the window start and ``end_s`` the clock after the jump,
-    so the synthesized span covers exactly the batched window.
-    """
-
-    kind: ClassVar[str] = "ff_jump"
-
-    layer: str  # "idle" | "transfer"
-    ticks: int
-    end_s: float
 
 
 @dataclass(frozen=True)
@@ -358,11 +342,6 @@ def render_timeline(events: Iterable[TraceEvent], *, width: int = 72) -> str:
             lines.append(
                 f"{t}  retry      {event.job}:{event.stream}{where} "
                 f"attempt {event.attempts} failed ({fate})"
-            )
-        elif isinstance(event, FfJump):
-            lines.append(
-                f"{t}  ff_jump    [{event.layer}] {event.ticks} ticks "
-                f"-> t={event.end_s:.2f}s"
             )
         elif isinstance(event, EventJump):
             lines.append(

@@ -46,13 +46,13 @@ class AbrAlgorithm(Protocol):
     def select_level(self, ctx: AbrContext) -> int: ...
 
 
-# Fast-forward contract (see ``Player.idle_noop_ticks``): an algorithm
+# Batching contract (see ``Player.idle_noop_ticks``): an algorithm
 # that implements ``buffer_wake_thresholds`` promises that, with every
 # other context field held fixed, ``select_level`` is pure and its
 # output can only change when ``ctx.buffer_s`` crosses one of the
 # returned occupancy values.  During an idle window the buffer drains
 # monotonically, so the player may skip ticks up to the next crossing.
-# Algorithms without the method are never fast-forwarded.
+# Algorithms without the method are never batched over.
 
 
 def track_rate_bps(

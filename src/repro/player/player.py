@@ -290,7 +290,7 @@ class Player:
         if self.state is not PlayerState.ENDED:
             self._advance_fetching()
 
-    # -- idle-tick fast-forward ----------------------------------------------
+    # -- no-op margin contracts (the event engine's windows) ------------------
 
     def idle_noop_ticks(self, dt: float, max_ticks: int) -> int:
         """How many upcoming ticks are provably no-ops for this player.
@@ -817,7 +817,7 @@ class Player:
 
         The single exit path for all three stall terminations (rebuffer
         resume, seek flush, session end); every caller runs on a serial
-        tick, so the span boundaries are exact in fast-forwarded runs.
+        tick, so the span boundaries are exact in batched runs.
         """
         if self._stall_started_at is None:
             return
@@ -964,9 +964,9 @@ class Player:
             if self.tracer.enabled:
                 # This is the only site that commits an ABR output to a
                 # fetch, and it runs exclusively on serial ticks — the
-                # fast-forward layers' window vetting calls
+                # event engine's margin contracts call
                 # _choose_video_level but never _next_job — so the
-                # emitted decisions are identical across ff modes.
+                # emitted decisions are identical across engines.
                 self.tracer.emit(
                     AbrDecision(
                         at=now,

@@ -64,14 +64,14 @@ class ReplacementPolicy(Protocol):
     def consider(self, ctx: ReplacementContext) -> Optional[ReplacementAction]: ...
 
 
-# Fast-forward contract (see ``Player.idle_noop_ticks``): a policy that
+# Batching contract (see ``Player.idle_noop_ticks``): a policy that
 # implements ``wake_time`` promises that ``consider`` returns None —
 # without mutating any policy state — for every context that evolves
 # from ``ctx`` by idle playback alone (position advances, buffer only
 # drains, ``selected_level``/``last_fetched_level`` fixed) up to but
 # excluding the returned time.  ``math.inf`` means "never during such a
 # window"; returning ``ctx.now`` means "might act immediately".
-# Policies without the method are never fast-forwarded.
+# Policies without the method are never batched over.
 
 
 class NoReplacement:

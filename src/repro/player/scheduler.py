@@ -104,7 +104,7 @@ class FetchJob:
 class Scheduler:
     """Base class: connection bookkeeping and job completion plumbing."""
 
-    # Fast-forward contract (see ``Player.transfer_noop_ticks``): a
+    # Batching contract (see ``Player.transfer_noop_ticks``): a
     # scheduler with this flag promises that ``slots_for`` can only
     # change when a job is submitted or a transfer completes — never
     # from the mere passage of time.  All built-in schedulers qualify
@@ -226,9 +226,9 @@ class Scheduler:
             ) or None,
         )
         if self.tracer.enabled:
-            # Completions only ever run on serial ticks (both
-            # fast-forward layers stop before any completing tick), so
-            # these span boundaries are exact in batched runs too.
+            # Completions only ever run on serial ticks (advance_many
+            # stops before any completing tick), so these span
+            # boundaries are exact in batched runs too.
             self.tracer.emit(
                 DownloadSpan(
                     at=self.network.clock.now,

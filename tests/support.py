@@ -33,10 +33,8 @@ def run_session(
     manifest_rewriter: Optional[ManifestRewriter] = None,
     reject_after_segments: Optional[int] = None,
     content_seed: int = 11,
-    fast_forward: bool = False,
-    transfer_fast_forward: Optional[bool] = None,
     faults: Optional[FaultSpec] = None,
-    engine: str = "tick",
+    engine: str = "event",
 ) -> SessionResult:
     """Build a :class:`RunSpec` from keywords and run it to completion."""
     spec = RunSpec(
@@ -48,8 +46,6 @@ def run_session(
         dt=dt,
         rtt_s=rtt_s,
         content_seed=content_seed,
-        fast_forward=fast_forward,
-        transfer_fast_forward=transfer_fast_forward,
         faults=faults,
         engine=engine,
     )

@@ -55,7 +55,6 @@ def _specs(profiles=(1, 5, 9)):
             service="H1",
             profile_id=profile_id,
             duration_s=DURATION_S,
-            fast_forward=True,
         )
         for profile_id in profiles
     ]

@@ -20,6 +20,8 @@ from repro.analysis.serialize import capture_to_json
 from repro.blackbox.resilience import run_resilience_sweep, standard_fault_scenarios
 from repro.cli import main
 from repro.core.events import EventDrivenSession
+from repro.core.experiment import profile_sweep_specs
+from repro.core.fleet import FleetSpec
 from repro.core.outcome_cache import spec_key
 from repro.core.parallel import (
     RunSpec,
@@ -27,7 +29,9 @@ from repro.core.parallel import (
     execute_run_spec_with_result,
 )
 from repro.core.run import run_one
+from repro.core.session import Session
 from repro.net.schedule import StepSchedule, TraceSchedule
+from repro.net.traces import cellular_profiles
 from repro.obs import semantic_trace
 from repro.services import ALL_SERVICE_NAMES
 from repro.util import mbps
@@ -53,7 +57,9 @@ def _assert_identical(serial, event):
 
 
 def _run_pair(spec):
-    record_s, result_s = execute_run_spec_with_result(spec)
+    record_s, result_s = execute_run_spec_with_result(
+        replace(spec, engine="tick")
+    )
     record_e, result_e = execute_run_spec_with_result(
         replace(spec, engine="event")
     )
@@ -81,7 +87,7 @@ def test_identity_on_step_schedule_mid_transfer(name):
     schedule = StepSchedule(
         steps=((0.0, mbps(6)), (7.35, mbps(0.9)), (13.0, mbps(4)), (31.27, mbps(2.2)))
     )
-    serial = run_session(name, schedule, duration_s=60.0)
+    serial = run_session(name, schedule, duration_s=60.0, engine="tick")
     event = run_session(name, schedule, duration_s=60.0, engine="event")
     _assert_identical(serial, event)
 
@@ -103,26 +109,26 @@ def test_identity_under_faults(scenario):
 
 def test_resilience_sweep_identical_across_engines():
     report_tick = run_resilience_sweep(
-        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, fast_forward=False
+        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, engine="tick"
     )
     report_event = run_resilience_sweep(
-        ["H1", "D3"], profile_id=9, duration_s=DURATION_S,
-        fast_forward=False, engine="event",
+        ["H1", "D3"], profile_id=9, duration_s=DURATION_S, engine="event",
     )
     assert report_event.cells == report_tick.cells
+    assert report_tick.to_json()["engine"] == "tick"
     assert report_event.engine == "event"
     assert report_event.to_json()["engine"] == "event"
 
 
 def test_semantic_trace_equal_across_engines():
     spec = RunSpec(service="H1", profile_id=9, duration_s=DURATION_S)
-    tick = run_one(spec, tracer=True)
+    tick = run_one(replace(spec, engine="tick"), tracer=True)
     event = run_one(replace(spec, engine="event"), tracer=True)
     assert semantic_trace(event.trace) == semantic_trace(tick.trace)
-    # The meta layer differs on purpose: the event engine emits
-    # event_jump windows instead of ff_jump windows.
-    kinds = {e.kind for e in event.trace}
-    assert "event_jump" in kinds and "ff_jump" not in kinds
+    # The meta layer differs on purpose: only the event engine batches,
+    # so only its trace carries event_jump windows.
+    assert "event_jump" in {e.kind for e in event.trace}
+    assert "event_jump" not in {e.kind for e in tick.trace}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,8 @@ def test_semantic_trace_equal_across_engines():
 def test_tick_accounting_matches_serial_totals():
     for name in ("H1", "D2"):
         spec = RunSpec(service=name, profile_id=9, duration_s=DURATION_S)
-        serial = spec.build()
+        serial = replace(spec, engine="tick").build()
+        assert type(serial) is Session
         serial.run(spec.duration_s)
         event = replace(spec, engine="event").build()
         assert isinstance(event, EventDrivenSession)
@@ -186,8 +193,21 @@ def test_event_metrics_surface_through_observability():
 
 def test_engine_participates_in_cache_key():
     spec = RunSpec(service="H1", profile_id=2, duration_s=DURATION_S)
-    assert spec_key(spec) != spec_key(replace(spec, engine="event"))
-    assert spec_key(spec) == spec_key(replace(spec, engine="tick"))
+    tick = replace(spec, engine="tick")
+    event = replace(spec, engine="event")
+    assert spec_key(tick) != spec_key(event)
+    assert spec_key(spec) == spec_key(event)  # event is the default
+
+
+def test_event_is_the_default_engine():
+    assert RunSpec(service="H1").engine == "event"
+    assert isinstance(
+        RunSpec(service="H1", profile_id=2, duration_s=5.0).build(),
+        EventDrivenSession,
+    )
+    specs = profile_sweep_specs("H1", cellular_profiles(10)[:1], duration_s=10.0)
+    assert [spec.engine for spec in specs] == ["event"]
+    assert FleetSpec(services=("H1",)).engine == "event"
 
 
 def test_unknown_engine_rejected():

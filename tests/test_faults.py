@@ -1,8 +1,8 @@
-"""The composable fault plane: models, wiring, and fast-forward safety.
+"""The composable fault plane: models, wiring, and batching safety.
 
 The load-bearing guarantee is the change-point contract: no injected
-fault may ever be batched across by either fast-forward layer, so a
-faulted run serializes byte-identically with fast-forward on and off.
+fault may ever be batched across by the event engine, so a faulted run
+serializes byte-identically on the event engine and the tick oracle.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def _assert_identical(serial, other):
 
 @pytest.mark.parametrize("name", ALL_SERVICE_NAMES)
 def test_grid_invariance_under_faults(name):
-    """Serial, idle-only ff and full ff are byte-identical under faults."""
+    """The event engine and the tick oracle agree byte for byte."""
     for profile_id in (2, 9):
         spec = RunSpec(
             service=name,
@@ -296,17 +296,14 @@ def test_grid_invariance_under_faults(name):
             duration_s=45.0,
             faults=GRID_FAULTS,
         )
-        record_s, result_s = execute_run_spec_with_result(spec)
-        record_i, result_i = execute_run_spec_with_result(
-            replace(spec, fast_forward=True, transfer_fast_forward=False)
+        record_s, result_s = execute_run_spec_with_result(
+            replace(spec, engine="tick")
         )
-        record_f, result_f = execute_run_spec_with_result(
-            replace(spec, fast_forward=True)
+        record_e, result_e = execute_run_spec_with_result(
+            replace(spec, engine="event")
         )
-        assert record_i == record_s, f"idle-ff diverged on profile {profile_id}"
-        assert record_f == record_s, f"transfer-ff diverged on profile {profile_id}"
-        _assert_identical(result_s, result_i)
-        _assert_identical(result_s, result_f)
+        assert record_e == record_s, f"event diverged on profile {profile_id}"
+        _assert_identical(result_s, result_e)
 
 
 def test_record_counts_resilience_fields():

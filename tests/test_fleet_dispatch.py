@@ -23,6 +23,7 @@ from repro.core.events import EventType
 from repro.core.fleet import FleetSession, FleetSpec
 from repro.core.multi import flows_by_asset
 from repro.core.parallel import TickStats
+from repro.net.network import Network
 from repro.net.schedule import ConstantSchedule, StepSchedule
 from repro.player.player import Player
 from repro.services.profiles import ALL_SERVICE_NAMES
@@ -92,14 +93,16 @@ BENCH_CELL = FleetSpec(
 
 # The cell's dispatch structure, regenerated when segment starts began
 # to replay inside batched windows (that took the dispatched ticks from
-# 250 to 247).  Which clients a dispatched tick fully advances must not
-# move a single dispatch or batched window.
+# 250 to 247) and again when ``advance_many`` windows began to count as
+# transfer ticks (52 of the 53 batched ticks, 44 of the 45 windows).
+# Which clients a dispatched tick fully advances must not move a single
+# dispatch or batched window.
 BENCH_CELL_TICK_STATS = TickStats(
     ticks_executed=247,
-    idle_fast_forwarded_ticks=53,
-    idle_fast_forward_jumps=45,
-    transfer_fast_forwarded_ticks=0,
-    transfer_fast_forward_jumps=0,
+    idle_fast_forwarded_ticks=1,
+    idle_fast_forward_jumps=1,
+    transfer_fast_forwarded_ticks=52,
+    transfer_fast_forward_jumps=44,
 )
 
 
@@ -128,6 +131,30 @@ def test_bench_cell_runs_few_full_ticks():
     assert event_records == tick_records
     assert event_stats == BENCH_CELL_TICK_STATS
     assert event_calls * 5 <= tick_calls
+
+
+def test_transfer_ticks_are_the_ticks_advance_many_returned():
+    """A fleet counts its ``advance_many`` windows as transfer ticks."""
+    windows = []
+    advance_many = Network.advance_many
+
+    def recording(self, max_ticks, dt):
+        executed, activity, reason = advance_many(self, max_ticks, dt)
+        if executed > 0:
+            windows.append(executed)
+        return executed, activity, reason
+
+    spec = FleetSpec(services=("H1", "D1"), schedule=ConstantSchedule(4e6),
+                     duration_s=120.0, engine="event")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "advance_many", recording)
+        session = FleetSession(spec)
+        session.run()
+    stats = session.tick_stats
+    assert windows
+    assert stats.transfer_fast_forwarded_ticks == sum(windows)
+    assert stats.transfer_fast_forward_jumps == len(windows)
+    assert stats.ticks_simulated == 1200
 
 
 def test_departed_clients_own_no_queue_entries():

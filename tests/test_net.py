@@ -95,7 +95,7 @@ class TestSchedules:
 
 
 class TestNextChangeAt:
-    """The fast-forward contract: rate constant on [t, next_change_at(t))."""
+    """The batching contract: rate constant on [t, next_change_at(t))."""
 
     def test_constant_never_changes(self):
         import math
@@ -169,7 +169,7 @@ def _water_fill_reference(capacity, demands):
     """The pre-optimization fixed-point formulation, kept verbatim.
 
     The production ``water_fill`` must stay float-for-float equal to
-    this: every fast-forwarded session replays allocations computed by
+    this: every event-engine session replays allocations computed by
     one against ticks originally computed by the other.
     """
     allocations = [0.0] * len(demands)
@@ -891,6 +891,21 @@ def _advance_many_clamped(self, max_ticks, dt):
     return executed, activity, clamp_reason
 
 
+def _fault_horizon_ticks(network, max_ticks, dt):
+    """Ticks strictly before the next fault change point, at most
+    ``max_ticks`` (0 when one is due now): the fault clamp of
+    ``advance_many``, the way the event engine's queue applies it."""
+    if network.faults is None:
+        return max_ticks
+    now = network.clock.now
+    change = network.faults.next_change_at(now)
+    if change == math.inf:
+        return max_ticks
+    if change <= now + 1e-9:
+        return 0
+    return min(max_ticks, int((change - now - 1e-9) / dt) + 1)
+
+
 def _chain(walk, network, max_ticks, dt):
     """Drive a walk that stops at capacity change points the way the
     event engine drove it: after each ``schedule`` stop, advance the
@@ -901,7 +916,7 @@ def _chain(walk, network, max_ticks, dt):
     executed, activity = 0, []
     while True:
         left = max_ticks - executed
-        fault_at = network.fault_horizon_ticks(left, dt)
+        fault_at = _fault_horizon_ticks(network, left, dt)
         ticks, more, reason = walk(network, left, dt)
         network.clock.advance(ticks)
         executed += ticks

@@ -17,7 +17,7 @@ from repro.obs import (
     EMPTY_SNAPSHOT,
     AbrDecision,
     DownloadSpan,
-    FfJump,
+    EventJump,
     JsonlTracer,
     MetricsRegistry,
     MetricsSnapshot,
@@ -221,7 +221,8 @@ def test_event_to_dict_carries_kind():
 def test_semantic_trace_drops_meta_and_numbers_per_kind():
     events = (
         _event(at=1.0),
-        FfJump(at=1.5, layer="idle", ticks=100, end_s=11.5),
+        EventJump(at=1.5, layer="idle", ticks=100, end_s=11.5,
+                  next_event="player_wake"),
         _event(at=12.0),
         RebufferSpan(at=13.0, start_s=12.5, end_s=13.0, position_s=6.0),
     )
@@ -229,7 +230,7 @@ def test_semantic_trace_drops_meta_and_numbers_per_kind():
     assert [sid for sid, _ in semantic] == [
         "download-1", "download-2", "rebuffer-1",
     ]
-    assert all(event.kind != "ff_jump" for _, event in semantic)
+    assert all(event.kind != "event_jump" for _, event in semantic)
 
 
 def test_render_timeline_formats_each_kind():
@@ -238,13 +239,15 @@ def test_render_timeline_formats_each_kind():
         AbrDecision(at=1.0, index=3, level=2, previous_level=1,
                     buffer_s=8.0, estimate_bps=4e6),
         RebufferSpan(at=2.0, start_s=1.5, end_s=2.0, position_s=4.0),
-        FfJump(at=3.0, layer="transfer", ticks=50, end_s=8.0),
+        EventJump(at=3.0, layer="transfer", ticks=50, end_s=8.0,
+                  next_event="completion"),
     )
     text = render_timeline(events)
     assert "download" in text
     assert "segment 3 -> L2" in text
     assert "stall" in text
-    assert "ff_jump" in text and "[transfer]" in text
+    assert "event_jump" in text and "[transfer]" in text
+    assert "(next: completion)" in text
 
 
 # ---------------------------------------------------------------------------

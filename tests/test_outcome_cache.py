@@ -56,7 +56,7 @@ def test_default_values_spelled_out_hash_identically():
     explicit = _spec(
         content_seed=implicit.resolved_content_seed,
         content_duration_s=DURATION_S,
-        transfer_fast_forward=False,  # follows fast_forward=False
+        engine="event",
         schedule=implicit.resolved_schedule(),
     )
     assert spec_key(implicit) == spec_key(explicit)
@@ -74,11 +74,8 @@ def test_outcome_relevant_fields_split_the_key_space():
     assert spec_key(base) != spec_key(_spec(profile_id=2))
     assert spec_key(base) != spec_key(_spec(repetition=1))
     assert spec_key(base) != spec_key(_spec(duration_s=DURATION_S + 5))
-    # Fast-forward modes differ in tick stats, which outcomes compare.
-    assert spec_key(base) != spec_key(_spec(fast_forward=True))
-    assert spec_key(_spec(fast_forward=True)) != spec_key(
-        _spec(fast_forward=True, transfer_fast_forward=False)
-    )
+    # Engines differ in tick stats, which outcomes compare.
+    assert spec_key(base) != spec_key(_spec(engine="tick"))
     assert spec_key(base) != spec_key(
         _spec(config_overrides=(("startup_buffer_s", 4.0),))
     )
@@ -90,7 +87,6 @@ def test_canonical_spec_resolves_lazy_defaults():
     assert resolved.content_duration_s == DURATION_S
     assert resolved.trace is None
     assert resolved.schedule is not None
-    assert resolved.transfer_fast_forward is False
 
 
 def test_file_backed_trace_sink_is_uncacheable(tmp_path):
@@ -114,7 +110,7 @@ def test_code_fingerprint_is_cached_and_short():
 
 def test_cached_outcome_equals_fresh_outcome(tmp_path):
     cache = OutcomeCache(tmp_path)
-    spec = _spec(fast_forward=True)
+    spec = _spec()
     fresh = run_one(spec, keep_result=False)
     assert cache.get(spec) is None
     assert cache.put(spec, fresh) is True
@@ -126,9 +122,7 @@ def test_cached_outcome_equals_fresh_outcome(tmp_path):
 
 def test_execute_second_pass_is_all_hits_all_services(tmp_path):
     cache = OutcomeCache(tmp_path)
-    specs = sweep_grid(
-        ALL_SERVICE_NAMES, [9], duration_s=DURATION_S, fast_forward=True
-    )
+    specs = sweep_grid(ALL_SERVICE_NAMES, [9], duration_s=DURATION_S)
     fresh = execute(specs, workers=0)
     first = execute(specs, workers=0, cache=cache)
     assert cache.hits == 0 and cache.misses == len(specs)
@@ -142,9 +136,7 @@ def test_cache_composes_with_worker_pool(tmp_path):
     from repro.core.pool import close_worker_pool
 
     cache = OutcomeCache(tmp_path)
-    specs = sweep_grid(
-        ["H1", "S1"], [2, 9], duration_s=DURATION_S, fast_forward=True
-    )
+    specs = sweep_grid(["H1", "S1"], [2, 9], duration_s=DURATION_S)
     try:
         first = execute(specs, workers=2, cache=cache)
         second = execute(specs, workers=2, cache=cache)
@@ -299,7 +291,7 @@ def test_cli_cache_stats_clear_verify(tmp_path, capsys):
     cache_dir = str(tmp_path / "cli-cache")
     code = main([
         "compare", "H1", "--profiles", "9", "--duration", "25",
-        "--fast-forward", "--cache-dir", cache_dir,
+        "--cache-dir", cache_dir,
     ])
     assert code == 0
     capsys.readouterr()
@@ -333,7 +325,7 @@ def test_cli_compare_cache_hits_on_second_run(tmp_path, capsys):
     cache_dir = str(tmp_path / "cli-cache")
     argv = [
         "compare", "H1", "--profiles", "9", "--duration", "25",
-        "--fast-forward", "--cache-dir", cache_dir,
+        "--cache-dir", cache_dir,
     ]
     assert main(argv) == 0
     first = capsys.readouterr().out

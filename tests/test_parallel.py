@@ -1,4 +1,4 @@
-"""Sweep engine: parallel == serial, encode cache, idle fast-forward."""
+"""Sweep engine: parallel == serial, encode cache, idle-window batching."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.core.parallel import (
     parallel_map,
     sweep_grid,
 )
-from repro.core.session import Session
+from repro.core.events import EventDrivenSession
 from tests.support import run_session
 from repro.media.cache import AssetCache, asset_cache, clear_asset_cache
 from repro.net.schedule import ConstantSchedule
@@ -141,14 +141,16 @@ def test_asset_cache_lru_eviction():
 
 
 # ---------------------------------------------------------------------------
-# Idle-tick fast-forward
+# Idle-window batching: the event engine against the tick oracle
 # ---------------------------------------------------------------------------
 
 
 def _run_pair(name, schedule, duration_s, **kwargs):
-    ticked = run_session(name, schedule, duration_s=duration_s, **kwargs)
+    ticked = run_session(
+        name, schedule, duration_s=duration_s, engine="tick", **kwargs
+    )
     jumped = run_session(
-        name, schedule, duration_s=duration_s, fast_forward=True, **kwargs
+        name, schedule, duration_s=duration_s, engine="event", **kwargs
     )
     return ticked, jumped
 
@@ -174,17 +176,15 @@ def test_fast_forward_invariant_over_cellular_trace(name):
 def test_fast_forward_actually_skips_ticks():
     server = OriginServer()
     built = build_service("H4", server, duration_s=180.0, content_seed=11)
-    session = Session(
-        built, server, ConstantSchedule(mbps(8)), fast_forward=True
-    )
+    session = EventDrivenSession(built, server, ConstantSchedule(mbps(8)))
     result = session.run(180.0)
     assert result.qoe is not None
     # H4 pauses for 20 s stretches and fully buffers the 180 s content:
     # most of the session is provably idle.
     assert session.fast_forwarded_ticks > 600
     # Segment starts replay inside the idle window, so the buffered tail
-    # plays out in one jump: 31 serial ticks (50 when every segment
-    # start ended a window).
+    # plays out in one jump: 29 dispatched ticks, one per completion
+    # plus the first fetch (50 when every segment start ended a window).
     assert session.ticks_executed < 50
 
 
@@ -196,22 +196,12 @@ def test_fast_forward_invariant_on_fully_buffered_tail():
     _assert_identical(ticked, jumped)
 
 
-def test_fast_forward_off_by_default():
-    server = OriginServer()
-    built = build_service("H4", server, duration_s=60.0, content_seed=11)
-    session = Session(built, server, ConstantSchedule(mbps(8)))
-    session.run(60.0)
-    assert session.fast_forwarded_ticks == 0
-
-
 def test_shared_link_fast_forward_matches_ticked():
     schedule = ConstantSchedule(mbps(12))
     spec = FleetSpec(services=("H4", "S2"), schedule=schedule,
                      duration_s=90.0, content_duration_s=80.0, engine="tick")
     ticked = run_fleet(spec, keep_results=True).results
-    jumped = run_fleet(
-        replace(spec, fast_forward=True), keep_results=True
-    ).results
+    jumped = run_fleet(replace(spec, engine="event"), keep_results=True).results
     for a, b in zip(ticked, jumped):
         assert a.qoe == b.qoe
         assert a.player.ui_samples == b.player.ui_samples

@@ -44,9 +44,7 @@ def _fresh_pool():
 
 
 def _grid(services=("H1", "S1"), profiles=(2, 9)):
-    return sweep_grid(
-        services, profiles, duration_s=DURATION_S, fast_forward=True
-    )
+    return sweep_grid(services, profiles, duration_s=DURATION_S)
 
 
 def _square(x):
@@ -245,7 +243,6 @@ def test_interleaved_services_on_warm_pool_match_serial():
             service=service,
             profile_id=profile_id,
             duration_s=DURATION_S,
-            fast_forward=True,
         )
         for profile_id in (2, 9)
         for service in ("H1", "S1", "H1", "D2")

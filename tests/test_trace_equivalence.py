@@ -2,12 +2,11 @@
 
 The tentpole contract: every semantic emission site (download spans,
 ABR decisions, rebuffer spans, retries) fires only on serially-executed
-ticks, so a serial run, an idle-only fast-forwarded run and a fully
-fast-forwarded run of the same spec produce *identical* semantic
-traces — the batching layers only add ``ff_jump`` meta events whose
-boundaries cover the batched windows.  Likewise, per-run metrics are
-pure functions of the spec, so a parallel sweep aggregates to exactly
-the serial sweep's snapshot.
+ticks, so a tick-oracle run and an event-engine run of the same spec
+produce *identical* semantic traces — the event engine only adds
+``event_jump`` meta events whose boundaries cover the batched windows.
+Likewise, per-run metrics are pure functions of the spec, so a parallel
+sweep aggregates to exactly the serial sweep's snapshot.
 """
 
 from __future__ import annotations
@@ -31,40 +30,38 @@ ALL_SERVICE_NAMES = (
 
 
 def _traces_for(spec):
-    serial = run_one(spec, tracer=True, keep_result=False)
-    idle_only = run_one(
-        replace(spec, fast_forward=True, transfer_fast_forward=False),
-        tracer=True, keep_result=False,
+    serial = run_one(
+        replace(spec, engine="tick"), tracer=True, keep_result=False
     )
-    full = run_one(
-        replace(spec, fast_forward=True), tracer=True, keep_result=False
+    event = run_one(
+        replace(spec, engine="event"), tracer=True, keep_result=False
     )
-    return serial, idle_only, full
+    return serial, event
 
 
 @pytest.mark.parametrize("name", ALL_SERVICE_NAMES)
 def test_semantic_trace_invariant_across_execution_modes(name):
     spec = RunSpec(service=name, profile_id=PROFILE_ID, duration_s=DURATION_S)
-    serial, idle_only, full = _traces_for(spec)
+    serial, event = _traces_for(spec)
     reference = semantic_trace(serial.trace)
     assert reference, f"{name}: serial trace is empty"
-    assert semantic_trace(idle_only.trace) == reference
-    assert semantic_trace(full.trace) == reference
+    assert semantic_trace(event.trace) == reference
     # The serial run never batches, so it carries no meta events.
-    assert all(event.kind != "ff_jump" for event in serial.trace)
+    assert all(e.kind != "event_jump" for e in serial.trace)
 
 
-def test_ff_jump_spans_cover_batched_windows():
+def test_event_jump_spans_cover_batched_windows():
     spec = RunSpec(
         service="H1",
         profile_id=PROFILE_ID,
         duration_s=DURATION_S,
-        fast_forward=True,
+        engine="event",
     )
     outcome = run_one(spec, tracer=True, keep_result=False)
-    jumps = [event for event in outcome.trace if event.kind == "ff_jump"]
-    assert jumps, "fast-forwarded H1 run produced no ff_jump events"
-    assert {jump.layer for jump in jumps} <= {"idle", "transfer"}
+    jumps = [event for event in outcome.trace if event.kind == "event_jump"]
+    assert jumps, "event-engine H1 run produced no event_jump events"
+    assert {jump.layer for jump in jumps} <= {"idle", "stalled", "transfer"}
+    assert "transfer" in {jump.layer for jump in jumps}
     for jump in jumps:
         assert jump.ticks > 0
         assert jump.end_s > jump.at
@@ -78,17 +75,16 @@ def test_ff_jump_spans_cover_batched_windows():
 
 
 def test_trace_invariance_under_faults():
-    """Retry and rebuffer spans survive fast-forward unchanged."""
+    """Retry and rebuffer spans survive batching unchanged."""
     spec = RunSpec(
         service="H2",
         profile_id=2,
         duration_s=60.0,
         faults=FaultSpec(seeded_errors=(SeededErrors(rate=0.25),)),
     )
-    serial, idle_only, full = _traces_for(spec)
+    serial, event = _traces_for(spec)
     reference = semantic_trace(serial.trace)
-    assert semantic_trace(idle_only.trace) == reference
-    assert semantic_trace(full.trace) == reference
+    assert semantic_trace(event.trace) == reference
     kinds = {event.kind for _, event in reference}
     assert "retry" in kinds, "seeded 25% error rate produced no retries"
 
@@ -96,7 +92,6 @@ def test_trace_invariance_under_faults():
 def test_parallel_and_serial_sweeps_agree():
     specs = sweep_grid(
         ("H1", "D1"), (2, PROFILE_ID), duration_s=DURATION_S,
-        fast_forward=True,
     )
     serial = execute(specs, workers=0, tracer=True)
     parallel = execute(specs, workers=2, tracer=True)
@@ -126,8 +121,8 @@ def test_aggregated_metrics_reflect_run_totals():
 def test_tick_mode_counters_shift_with_fast_forward():
     """Executed vs batched tick counters move, semantic totals don't."""
     spec = RunSpec(service="H1", profile_id=PROFILE_ID, duration_s=DURATION_S)
-    serial = run_one(spec, keep_result=False)
-    jumped = run_one(replace(spec, fast_forward=True), keep_result=False)
+    serial = run_one(replace(spec, engine="tick"), keep_result=False)
+    jumped = run_one(replace(spec, engine="event"), keep_result=False)
     serial_metrics, ff_metrics = serial.metrics, jumped.metrics
     assert serial_metrics.total("session.ticks") == ff_metrics.total(
         "session.ticks"

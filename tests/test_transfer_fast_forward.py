@@ -1,9 +1,13 @@
-"""Event-horizon tick batching: bit-identity and accounting.
+"""Transfer-window batching: bit-identity and accounting.
 
-The transfer fast-forward must be invisible in every observable output:
-for each service x profile cell the flows, UI samples, events, RRC
-accounting and QoE must be byte-identical to the serial loop, with the
-only difference being how many ticks were individually executed.
+The event engine replays active downloads through
+``Network.advance_many`` windows, counted as transfer fast-forwarded
+ticks.  Those windows must be invisible in every observable output: for
+each service x profile cell the flows, UI samples, events, RRC
+accounting and QoE must be byte-identical to the tick oracle, with the
+only difference being how many ticks were individually executed.  The
+profiles and schedules here complement ``tests/test_event_engine.py``'s
+grid (profiles 2/5/9/13, four off-grid steps).
 """
 
 from __future__ import annotations
@@ -15,12 +19,11 @@ import pytest
 from repro.analysis.serialize import capture_to_json
 from repro.core.parallel import (
     RunSpec,
-    SweepRunner,
     TickStats,
     execute_run_spec_with_result,
     execute_run_spec_with_stats,
-    sweep_grid,
 )
+from repro.core.events import EventDrivenSession
 from repro.core.session import Session
 from tests.support import run_session
 from repro.net.schedule import ConstantSchedule, StepSchedule
@@ -30,7 +33,7 @@ from repro.services import ALL_SERVICE_NAMES
 from repro.services.profiles import build_service
 from repro.util import mbps
 
-GRID_PROFILES = (2, 5, 9, 13)
+GRID_PROFILES = (3, 7, 11, 14)
 DURATION_S = 45.0
 
 
@@ -59,26 +62,34 @@ def test_grid_invariance_serial_vs_fast_forward(name):
     """Byte-identical serialized output for every profile in the sample."""
     for profile_id in GRID_PROFILES:
         spec = RunSpec(service=name, profile_id=profile_id, duration_s=DURATION_S)
-        record_s, result_s = execute_run_spec_with_result(spec)
+        record_s, result_s = execute_run_spec_with_result(
+            replace(spec, engine="tick")
+        )
         record_f, result_f = execute_run_spec_with_result(
-            replace(spec, fast_forward=True)
+            replace(spec, engine="event")
         )
         assert record_f == record_s, f"profile {profile_id}"
         _assert_identical(result_s, result_f)
 
 
+# Thirty alternating steps, 1.3 s apart and off the 0.1-s tick grid:
+# most transfer windows cross several capacity changes.
+RAPID_STEPS = StepSchedule(
+    steps=((0.0, mbps(5)),) + tuple(
+        (0.05 + 1.3 * k, mbps(0.8) if k % 2 else mbps(5)) for k in range(1, 31)
+    )
+)
+
+
 @pytest.mark.parametrize("name", ["H1", "H2", "D1", "D3", "S1"])
 def test_invariance_on_step_schedule_mid_transfer(name):
-    """Capacity steps landing inside active downloads stay invisible.
+    """Many capacity steps inside one active download stay invisible.
 
-    Boundaries are deliberately not tick-aligned so the window clamp
-    (``next_change_at``) is exercised off-grid.
+    ``advance_many`` re-reads the capacity on each tick that reaches a
+    change point; these steps come faster than most downloads finish.
     """
-    schedule = StepSchedule(
-        steps=((0.0, mbps(6)), (7.35, mbps(0.9)), (13.0, mbps(4)), (31.27, mbps(2.2)))
-    )
-    serial = run_session(name, schedule, duration_s=60.0)
-    jumped = run_session(name, schedule, duration_s=60.0, fast_forward=True)
+    serial = run_session(name, RAPID_STEPS, duration_s=60.0, engine="tick")
+    jumped = run_session(name, RAPID_STEPS, duration_s=60.0, engine="event")
     _assert_identical(serial, jumped)
 
 
@@ -87,37 +98,10 @@ def test_invariance_on_step_schedule_mid_transfer(name):
 # ---------------------------------------------------------------------------
 
 
-def _grid_stats(transfer_fast_forward):
-    specs = sweep_grid(
-        ALL_SERVICE_NAMES,
-        (2, 9),
-        duration_s=DURATION_S,
-        fast_forward=True,
-        transfer_fast_forward=transfer_fast_forward,
-    )
-    total = TickStats.ZERO
-    for _, stats in SweepRunner(workers=0).run_with_stats(specs):
-        total = total + stats
-    return total
-
-
-def test_transfer_batching_cuts_real_ticks_vs_idle_only():
-    idle_only = _grid_stats(transfer_fast_forward=False)
-    full = _grid_stats(transfer_fast_forward=None)
-    assert idle_only.transfer_fast_forwarded_ticks == 0
-    assert full.transfer_fast_forward_jumps > 0
-    # Same simulated timeline either way; only the execution mix shifts.
-    assert full.ticks_simulated == idle_only.ticks_simulated
-    assert full.idle_fast_forwarded_ticks == idle_only.idle_fast_forwarded_ticks
-    # The headline claim (>= 3x on the full grid, tracked by
-    # benchmarks/BENCH_core.json); keep slack on this 2-profile sample.
-    assert idle_only.ticks_executed / full.ticks_executed >= 2.5
-
-
 def test_tick_stats_consistency_and_addition():
     spec = RunSpec(service="H4", profile_id=5, duration_s=DURATION_S)
-    record_s, stats_s = execute_run_spec_with_stats(spec)
-    record_f, stats_f = execute_run_spec_with_stats(replace(spec, fast_forward=True))
+    record_s, stats_s = execute_run_spec_with_stats(replace(spec, engine="tick"))
+    record_f, stats_f = execute_run_spec_with_stats(replace(spec, engine="event"))
     assert record_f == record_s  # stats ride outside the record
     assert stats_s.idle_fast_forwarded_ticks == 0
     assert stats_s.transfer_fast_forwarded_ticks == 0
@@ -129,24 +113,20 @@ def test_tick_stats_consistency_and_addition():
 
 
 def test_transfer_fast_forward_counters_and_opt_out():
+    """The event engine counts its windows; the tick oracle opts out."""
     server = OriginServer()
     built = build_service("H1", server, duration_s=60.0, content_seed=11)
-    session = Session(built, server, ConstantSchedule(mbps(3)), fast_forward=True)
+    session = EventDrivenSession(built, server, ConstantSchedule(mbps(3)))
     session.run(60.0)
     assert session.transfer_fast_forwarded_ticks > 0
     assert session.transfer_fast_forward_jumps > 0
 
     server = OriginServer()
     built = build_service("H1", server, duration_s=60.0, content_seed=11)
-    opted_out = Session(
-        built,
-        server,
-        ConstantSchedule(mbps(3)),
-        fast_forward=True,
-        transfer_fast_forward=False,
-    )
+    opted_out = Session(built, server, ConstantSchedule(mbps(3)))
     opted_out.run(60.0)
     assert opted_out.transfer_fast_forwarded_ticks == 0
+    assert opted_out.transfer_fast_forward_jumps == 0
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +171,10 @@ def test_transfer_noop_ticks_requires_static_slots_contract():
 
 
 def test_fast_forward_session_matches_on_constant_schedule():
-    serial = run_session("S1", ConstantSchedule(mbps(2.5)), duration_s=90.0)
+    serial = run_session(
+        "S1", ConstantSchedule(mbps(2.5)), duration_s=90.0, engine="tick"
+    )
     jumped = run_session(
-        "S1", ConstantSchedule(mbps(2.5)), duration_s=90.0, fast_forward=True
+        "S1", ConstantSchedule(mbps(2.5)), duration_s=90.0, engine="event"
     )
     _assert_identical(serial, jumped)
