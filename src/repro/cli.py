@@ -713,8 +713,10 @@ def _cmd_sweep(args) -> int:
         print(f"  skipped lines    : {journal.skipped_lines} "
               f"(undecodable; see the log warning)")
     stats = journal.store.stats()
-    print(f"  stored outcomes  : {stats.entries} "
+    print(f"  journal's store  : {stats.entries} outcome(s) "
           f"({stats.bytes / 1024:.1f} KiB)")
+    print("  a sweep run with a cache keeps its cacheable payloads there, "
+          "not in the journal's store")
     if by_host:
         print("per worker:")
         width = max(len(name) for name in by_host)

@@ -727,13 +727,13 @@ class SweepCoordinator:
         status = msg.get("status")
         duration = float(msg.get("duration", 0.0))
         raw: Optional[bytes] = None
+        store = (
+            self.journal.payload_store(lease.spec)
+            if self.journal is not None else self._codec
+        )
         try:
             if "entry" in msg:
                 raw = _unpack_raw(msg["entry"])
-                store = (
-                    self.journal.store if self.journal is not None
-                    else self._codec
-                )
                 outcome = store.decode_bytes(raw, lease.spec, key=lease.key)
             else:
                 outcome = _unpack(msg["pickle"])
@@ -752,7 +752,7 @@ class SweepCoordinator:
             if self.journal is not None and lease.key is not None:
                 if status == "done":
                     if raw is not None:
-                        self.journal.store.put_bytes(lease.key, raw)
+                        store.put_bytes(lease.key, raw)
                     self.journal.record(
                         lease.key, "done",
                         attempt=int(msg.get("attempts", 1)),
@@ -868,12 +868,24 @@ class SweepCoordinator:
 
     # -- entry point -------------------------------------------------------
 
-    def run(self, specs: Sequence["RunSpec"], *, profile: bool = False) -> list:
-        """Execute every spec across the hosts; outcomes in spec order."""
+    def run(
+        self,
+        specs: Sequence["RunSpec"],
+        *,
+        profile: bool = False,
+        keys: Optional[Sequence[Optional[str]]] = None,
+    ) -> list:
+        """Execute every spec across the hosts; outcomes in spec order.
+
+        ``keys`` are the specs' lease keys when the caller has computed
+        them already.
+        """
         outcomes: list = [None] * len(specs)
+        if keys is None:
+            keys = [lease_key(spec) for spec in specs]
         leases = [
-            _Lease(index=i, spec=spec, key=lease_key(spec))
-            for i, spec in enumerate(specs)
+            _Lease(index=i, spec=spec, key=key)
+            for i, (spec, key) in enumerate(zip(specs, keys))
         ]
         pending: list[_Lease] = []
         for lease in leases:
@@ -916,7 +928,9 @@ class SweepCoordinator:
                 task=self.task,
             )
             local = supervisor.run(
-                [lease.spec for lease in remaining], profile=profile
+                [lease.spec for lease in remaining],
+                profile=profile,
+                keys=[lease.key for lease in remaining],
             )
             for lease, outcome in zip(remaining, local):
                 outcomes[lease.index] = outcome
@@ -949,6 +963,7 @@ def execute_distributed(
     journal: Optional[SweepJournal] = None,
     local_workers: int = 0,
     profile: bool = False,
+    keys: Optional[Sequence[Optional[str]]] = None,
 ) -> list:
     """``execute()``'s distributed backend: shard ``specs`` over ``hosts``.
 
@@ -961,4 +976,4 @@ def execute_distributed(
         journal=journal,
         local_workers=local_workers,
     )
-    return coordinator.run(specs, profile=profile)
+    return coordinator.run(specs, profile=profile, keys=keys)

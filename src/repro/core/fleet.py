@@ -47,7 +47,7 @@ from repro.core.multi import (
 )
 from repro.core.parallel import TickStats
 from repro.net.schedule import BandwidthSchedule
-from repro.net.traces import TRACE_SEED, generate_trace
+from repro.net.traces import TRACE_SEED, profile_schedule
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.server.origin import OriginServer
 from repro.services.profiles import (
@@ -213,9 +213,9 @@ class FleetSpec:
     def resolved_schedule(self) -> BandwidthSchedule:
         if self.schedule is not None:
             return self.schedule
-        return generate_trace(
+        return profile_schedule(
             self.profile_id, int(self.duration_s), self.trace_seed
-        ).as_schedule()
+        )
 
     def canonicalized(self) -> "FleetSpec":
         """Every lazily-defaulted field resolved to its effective value

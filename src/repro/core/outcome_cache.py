@@ -118,6 +118,13 @@ def _canonical_token(obj) -> object:
     )
 
 
+def has_file_sink(spec: "RunSpec") -> bool:
+    """Whether the spec traces to a file: a side effect a cache hit
+    would skip, so its outcome never enters the shared cache."""
+    tracing = getattr(spec, "tracing", None)
+    return tracing is not None and tracing.sink != "ring"
+
+
 def canonical_spec(spec: "RunSpec", *, check_sinks: bool = True) -> "RunSpec":
     """Resolve every lazily-defaulted field to its effective value.
 
@@ -137,7 +144,7 @@ def canonical_spec(spec: "RunSpec", *, check_sinks: bool = True) -> "RunSpec":
     canonicalize = getattr(spec, "canonicalized", None)
     if canonicalize is not None:
         return canonicalize()
-    if check_sinks and spec.tracing is not None and spec.tracing.sink != "ring":
+    if check_sinks and has_file_sink(spec):
         raise UncacheableSpec(
             "file-backed trace sinks are side effects a cache hit would "
             "skip; run with sink='ring' or disable the outcome cache"
@@ -363,8 +370,9 @@ class OutcomeCache:
         Corrupt or mismatched entries are unlinked (counted as
         invalidations and ``cache.corrupt_unlinks``); an uncacheable
         spec is a plain miss.  ``key`` substitutes a precomputed
-        address (the sweep journal passes :func:`lease_key` so even
-        side-effecting specs round-trip).
+        address: ``execute`` passes the :func:`lease_key` it computed
+        once per spec, and the sweep journal passes it so even
+        side-effecting specs round-trip.
         """
         if key is None:
             try:

@@ -40,7 +40,12 @@ from repro.core.events import EventDrivenSession
 from repro.core.session import ResultFieldMissing, Session, SessionResult
 from repro.net.rrc import RrcState
 from repro.net.schedule import BandwidthSchedule
-from repro.net.traces import TRACE_SEED, CellularTrace, generate_trace
+from repro.net.traces import (
+    TRACE_SEED,
+    CellularTrace,
+    profile_schedule,
+    profile_trace,
+)
 from repro.obs import Observability, TraceConfig
 from repro.player.config import PlayerConfig
 from repro.player.events import (
@@ -97,7 +102,7 @@ class RunSpec:
     faults: Optional[FaultSpec] = None
     # Explicit bandwidth schedule (e.g. ConstantSchedule); overrides
     # both trace and profile_id.  All stock schedules are frozen
-    # dataclasses, so the spec stays picklable.
+    # dataclasses, so the spec stays picklable and keyable.
     schedule: Optional[BandwidthSchedule] = None
     # Observability: per-run trace sink description (None = disabled).
     tracing: Optional[TraceConfig] = None
@@ -117,19 +122,24 @@ class RunSpec:
             return self.content_seed
         return DEFAULT_CONTENT_SEED + self.repetition
 
-    def resolved_trace(self) -> CellularTrace:
-        if self.trace is not None:
-            return self.trace
-        return generate_trace(
+    def _profile_args(self) -> tuple[int, int, int]:
+        return (
             self.profile_id,
             int(self.trace_duration_s or self.duration_s),
             self.trace_seed,
         )
 
+    def resolved_trace(self) -> CellularTrace:
+        if self.trace is not None:
+            return self.trace
+        return profile_trace(*self._profile_args())
+
     def resolved_schedule(self) -> BandwidthSchedule:
         if self.schedule is not None:
             return self.schedule
-        return self.resolved_trace().as_schedule()
+        if self.trace is not None:
+            return self.trace.as_schedule()
+        return profile_schedule(*self._profile_args())
 
     def build(
         self,

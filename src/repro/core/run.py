@@ -43,7 +43,12 @@ from repro.core.fleet import (
     fleet_catalogue_key,
     run_fleet,
 )
-from repro.core.outcome_cache import CacheSpec, resolve_outcome_cache
+from repro.core.outcome_cache import (
+    CacheSpec,
+    has_file_sink,
+    lease_key,
+    resolve_outcome_cache,
+)
 from repro.core.parallel import (
     RunRecord,
     RunSpec,
@@ -263,7 +268,12 @@ def execute(
     under the cache dir, or pass a path / live
     :class:`~repro.core.supervisor.SweepJournal`; leases the journal
     marks complete are skipped — even uncacheable ones — so a killed
-    sweep picks up where it stopped.
+    sweep picks up where it stopped.  A journal built from ``True`` or
+    a path keeps its payloads in ``cache`` when one is given, so each
+    outcome is written once; resume such a sweep with the same cache.
+
+    Each spec's lease key is computed once per call and serves the
+    cache read, the journal and the cache write.
 
     ``hosts`` shards the sweep across worker daemons
     (:mod:`repro.core.distributed`): each entry is ``HOST:PORT`` for a
@@ -298,14 +308,31 @@ def execute(
         )
     specs = [_resolve_tracing(spec, tracer) for spec in specs]
     supervised = policy is not None or journal is not None
+    keys: Optional[list[Optional[str]]] = None
+    if store is not None or supervised or hosts:
+        keys = [lease_key(spec) for spec in specs]
+    # A spec enters the shared cache when it has a key and no file sink.
+    cacheable = [False] * len(specs)
+    if store is not None:
+        cacheable = [
+            key is not None and not has_file_sink(spec)
+            for spec, key in zip(specs, keys)
+        ]
     outcomes: list[Optional[Union[RunOutcome, FailedOutcome]]] = (
         [None] * len(specs)
     )
     pending = list(range(len(specs)))
     if store is not None:
         for index in pending:
-            outcomes[index] = store.get(specs[index])
+            if cacheable[index]:
+                outcomes[index] = store.get(specs[index], key=keys[index])
         pending = [index for index in pending if outcomes[index] is None]
+    sweep_journal = None
+    if pending and supervised:
+        sweep_journal = resolve_sweep_journal(
+            journal, specs, keys=keys, cache=store
+        )
+    pending_keys = None if keys is None else [keys[i] for i in pending]
     if hosts and pending:
         # Distributed path: shard the pending leases over worker
         # daemons; journal resume, cache putback and the determinism
@@ -317,9 +344,10 @@ def execute(
             [specs[i] for i in pending],
             hosts,
             policy=policy,
-            journal=resolve_sweep_journal(journal, specs),
+            journal=sweep_journal,
             local_workers=workers,
             profile=profile,
+            keys=pending_keys,
         )
         for local_index, outcome in enumerate(dispatched):
             outcomes[pending[local_index]] = outcome
@@ -339,20 +367,27 @@ def execute(
         supervisor = SweepSupervisor(
             0 if serial else workers,
             policy=policy,
-            journal=resolve_sweep_journal(journal, specs),
+            journal=sweep_journal,
         )
         supervised_outcomes = supervisor.run(
-            pending_specs, profile=profile, order=order
+            pending_specs, profile=profile, order=order, keys=pending_keys
         )
         for local_index, outcome in enumerate(supervised_outcomes):
             outcomes[pending[local_index]] = outcome
         if supervisor.encode_reports:
             _record_worker_encode_stats(supervisor.encode_reports)
-    if store is not None:
+    if store is not None and (
+        sweep_journal is None or sweep_journal.cache is not store
+    ):
+        # Write back what no journal stored in this cache already.
         for index in pending:
             outcome = outcomes[index]
-            if outcome is not None and not isinstance(outcome, FailedOutcome):
-                store.put(specs[index], outcome)
+            if (
+                cacheable[index]
+                and outcome is not None
+                and not isinstance(outcome, FailedOutcome)
+            ):
+                store.put(specs[index], outcome, key=keys[index])
     return outcomes
 
 

@@ -26,13 +26,14 @@ dispatch over the same persistent :class:`~repro.core.pool.WorkerPool`:
   loud log line and a ``sweep.serial_degradations`` metric — slow
   beats dead.
 * **Journal.** :class:`SweepJournal` is an append-only JSONL of
-  ``{spec_sha, status, attempt, duration}`` lines plus a payload store
-  (an :class:`~repro.core.outcome_cache.OutcomeCache` keyed by lease
-  SHA) under the cache dir.  ``execute(..., journal=...)`` skips
-  leases the journal marks complete — even uncacheable ones — so any
-  killed sweep resumes instead of restarting.  A torn final line
-  (killed mid-write) is ignored on load; a ``done`` line only skips
-  when its payload actually loads under the current code fingerprint.
+  ``{spec_sha, status, attempt, duration}`` lines whose payloads,
+  keyed by lease SHA, live in the sweep's outcome cache when it has
+  one and in the journal's own store otherwise.
+  ``execute(..., journal=...)`` skips leases the journal marks
+  complete — even uncacheable ones — so any killed sweep resumes
+  instead of restarting.  A torn final line (killed mid-write) is
+  ignored on load; a ``done`` line only skips when its payload
+  actually loads under the current code fingerprint.
 
 Supervision counters (``sweep.retries``, ``sweep.timeouts``,
 ``sweep.quarantined``, ``sweep.pool_respawns``, ``sweep.resumed_skips``,
@@ -68,6 +69,7 @@ from repro.core.outcome_cache import (
     OutcomeCache,
     code_fingerprint,
     default_cache_dir,
+    has_file_sink,
     lease_key,
 )
 from repro.obs.metrics import EMPTY_SNAPSHOT, MetricsSnapshot, process_registry
@@ -166,11 +168,15 @@ class SweepJournal:
     """Append-only, crash-safe record of lease completions.
 
     A journal is a directory: ``journal.jsonl`` (one JSON object per
-    completed lease) plus ``outcomes/`` — an
+    completed lease) plus ``outcomes/``, its own
     :class:`~repro.core.outcome_cache.OutcomeCache` addressed by lease
-    SHA, so completed payloads survive for resume even when the spec is
-    uncacheable for the shared outcome cache (e.g. a file-backed trace
-    sink, whose side effect already happened in the journaled run).
+    SHA.  A done lease's payload is written once.  With ``cache`` (the
+    sweep's shared outcome cache) it goes there, under the same key the
+    cache reads it by.  The own store holds only what the shared cache
+    cannot: payloads of sweeps without a cache, and of specs with a
+    file-backed trace sink, whose side effect already happened in the
+    journaled run.  A journal run with a cache therefore resumes from
+    that cache; resumed without it, its done leases re-run.
 
     Crash safety: payloads are stored *before* their journal line, each
     line lands in one unbuffered ``O_APPEND`` write and is fsynced, and
@@ -197,13 +203,20 @@ class SweepJournal:
     instead of quietly shrinking a resume.
     """
 
-    def __init__(self, root: Union[str, Path], *, flush_every: int = 1):
+    def __init__(
+        self,
+        root: Union[str, Path],
+        *,
+        flush_every: int = 1,
+        cache: Optional[OutcomeCache] = None,
+    ):
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "journal.jsonl"
         self.store = OutcomeCache(self.root / "outcomes")
+        self.cache = cache
         self.flush_every = flush_every
         self.skipped_lines = 0
         self._entries: dict[str, dict] = {}
@@ -351,12 +364,18 @@ class SweepJournal:
             self.flush_every = previous
             self.close()
 
+    def payload_store(self, spec: "RunSpec") -> OutcomeCache:
+        """Where a done lease of ``spec`` keeps its payload."""
+        if self.cache is not None and not has_file_sink(spec):
+            return self.cache
+        return self.store
+
     def store_outcome(self, key: str, outcome) -> None:
-        self.store.put(outcome.spec, outcome, key=key)
+        self.payload_store(outcome.spec).put(outcome.spec, outcome, key=key)
 
     def load_outcome(self, spec: "RunSpec", key: str):
         """The stored payload for a done lease, or ``None`` (re-run)."""
-        return self.store.get(spec, key=key)
+        return self.payload_store(spec).get(spec, key=key)
 
 
 def restore_from_journal(
@@ -409,11 +428,20 @@ class LeaseResult:
     message: Optional[str] = None
 
 
-def sweep_key(specs: Sequence["RunSpec"]) -> str:
-    """A stable identity for a whole sweep (orders + lease keys)."""
+def sweep_key(
+    specs: Sequence["RunSpec"],
+    keys: Optional[Sequence[Optional[str]]] = None,
+) -> str:
+    """A stable identity for a whole sweep (orders + lease keys).
+
+    ``keys`` are the specs' precomputed lease keys, if the caller has
+    them.
+    """
+    if keys is None:
+        keys = [lease_key(spec) for spec in specs]
     digest = hashlib.sha256()
-    for index, spec in enumerate(specs):
-        digest.update(f"{index}:{lease_key(spec) or 'unkeyed'}\n".encode())
+    for index, key in enumerate(keys):
+        digest.update(f"{index}:{key or 'unkeyed'}\n".encode())
     return digest.hexdigest()[:16]
 
 
@@ -429,16 +457,24 @@ JournalSpec = Union[None, bool, str, Path, "SweepJournal"]
 
 
 def resolve_sweep_journal(
-    journal: JournalSpec, specs: Sequence["RunSpec"] = ()
+    journal: JournalSpec,
+    specs: Sequence["RunSpec"] = (),
+    *,
+    keys: Optional[Sequence[Optional[str]]] = None,
+    cache: Optional[OutcomeCache] = None,
 ) -> Optional[SweepJournal]:
-    """Normalize a ``journal=`` argument to a :class:`SweepJournal`."""
+    """Normalize a ``journal=`` argument to a :class:`SweepJournal`.
+
+    A journal built here keeps its payloads in ``cache``; a live
+    journal keeps the cache it was built with.
+    """
     if journal is None or journal is False:
         return None
     if isinstance(journal, SweepJournal):
         return journal
     if journal is True:
-        return SweepJournal(default_journal_root() / sweep_key(specs))
-    return SweepJournal(journal)
+        journal = default_journal_root() / sweep_key(specs, keys)
+    return SweepJournal(journal, cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +677,21 @@ class SweepSupervisor:
         *,
         profile: bool = False,
         order: Optional[Sequence[int]] = None,
+        keys: Optional[Sequence[Optional[str]]] = None,
     ) -> list:
         """Execute every spec under supervision; outcomes in spec order.
 
         ``order`` (indices into ``specs``) sets worker submission order
         — ``execute`` passes its catalogue-locality plan — and never
-        affects the returned order.
+        affects the returned order.  ``keys`` are the specs' lease keys
+        when the caller has computed them already.
         """
         outcomes: list = [None] * len(specs)
+        if keys is None:
+            keys = [lease_key(spec) for spec in specs]
         leases = [
-            _Lease(index=i, spec=spec, key=lease_key(spec))
-            for i, spec in enumerate(specs)
+            _Lease(index=i, spec=spec, key=key)
+            for i, (spec, key) in enumerate(zip(specs, keys))
         ]
         pending: list[_Lease] = []
         for lease in leases:

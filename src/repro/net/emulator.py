@@ -12,7 +12,7 @@ or clamp into a range.  Each combinator keeps the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from repro.net.schedule import BandwidthSchedule
 from repro.util import DeterministicRng, check_non_negative, check_positive
@@ -56,18 +56,26 @@ class ClampedSchedule:
         return self.inner.next_change_at(time_s)
 
 
+@dataclass(frozen=True)
 class ConcatSchedule:
     """Play schedules back to back, each for a fixed duration.
 
-    The last phase extends indefinitely.
+    ``phases`` are (schedule, duration_s) pairs, stored as a tuple
+    whatever sequence they come in.  The last phase extends
+    indefinitely.
     """
 
-    def __init__(self, phases: list[tuple[BandwidthSchedule, float]]):
+    phases: tuple[tuple[BandwidthSchedule, float], ...]
+
+    def __post_init__(self) -> None:
+        phases = tuple(
+            (schedule, duration) for schedule, duration in self.phases
+        )
         if not phases:
             raise ValueError("need at least one phase")
         for _, duration in phases:
             check_positive("phase duration", duration)
-        self.phases = list(phases)
+        object.__setattr__(self, "phases", phases)
 
     def bandwidth_at(self, time_s: float) -> float:
         check_non_negative("time_s", time_s)
@@ -95,21 +103,29 @@ class ConcatSchedule:
         return _shifted_change(self.phases[-1][0], time_s, offset)
 
 
+@dataclass(frozen=True)
 class JitteredSchedule:
     """Seeded multiplicative per-second jitter on top of a schedule."""
 
-    def __init__(self, inner: BandwidthSchedule, *, sigma: float = 0.1,
-                 seed: int = 7, horizon_s: int = 3600):
-        check_positive("horizon_s", horizon_s)
-        if sigma < 0:
+    inner: BandwidthSchedule
+    _: KW_ONLY
+    sigma: float = 0.1
+    seed: int = 7
+    horizon_s: int = 3600
+
+    def __post_init__(self) -> None:
+        check_positive("horizon_s", self.horizon_s)
+        if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        self.inner = inner
-        rng = DeterministicRng(seed)
-        self._factors = [
+        # The factor table is derived from the fields, so it stays out
+        # of them: equality, repr and the cache key see only the data.
+        sigma = self.sigma
+        rng = DeterministicRng(self.seed)
+        object.__setattr__(self, "_factors", tuple(
             rng.truncated_gauss(1.0, sigma, max(1.0 - 3 * sigma, 0.05),
                                 1.0 + 3 * sigma)
-            for _ in range(horizon_s)
-        ]
+            for _ in range(self.horizon_s)
+        ))
 
     def bandwidth_at(self, time_s: float) -> float:
         factor = self._factors[int(time_s) % len(self._factors)]

@@ -152,10 +152,28 @@ class TraceSchedule:
         changes = self._change_indices
         if not changes:
             return math.inf  # every sample equal: the rate never changes
-        j = int(time_s / self.sample_interval_s) + 1
+        interval = self.sample_interval_s
+        j = int(time_s / interval) + 1
         n = len(self.samples_bps)
         base, rem = divmod(j, n)
         pos = bisect_left(changes, rem)
         if pos == len(changes):
             base, pos = base + 1, 0
-        return (base * n + changes[pos]) * self.sample_interval_s
+        return _sample_start(base * n + changes[pos], interval)
+
+
+def _sample_start(sample: int, interval: float) -> float:
+    """The first float ``t`` with ``int(t / interval) >= sample``: the
+    time from which :meth:`TraceSchedule.bandwidth_at` reads ``sample``.
+
+    ``sample * interval`` rounds to either side of it when the interval
+    is not a binary fraction (0.1, 0.05), so step to it: forward while
+    the product still reads the previous sample, back while the float
+    before it already reads this one.
+    """
+    at = sample * interval
+    while int(at / interval) < sample:
+        at = math.nextafter(at, math.inf)
+    while int(math.nextafter(at, -math.inf) / interval) >= sample:
+        at = math.nextafter(at, -math.inf)
+    return at

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.net.schedule import TraceSchedule
 from repro.util import DeterministicRng, check_positive, derive_seed, mbps
@@ -23,6 +24,9 @@ from repro.util import DeterministicRng, check_positive, derive_seed, mbps
 TRACE_SEED = 20170901  # fixed so every experiment sees identical profiles
 PROFILE_COUNT = 14
 DEFAULT_DURATION_S = 600
+#: Entries kept by the trace memo: the 14 profiles at a few durations
+#: and trace seeds.
+TRACE_MEMO_SIZE = 64
 
 # Average-bandwidth ladder (Mbps), lowest first, mirroring Figure 3's
 # spread from well under 1 Mbps to ~40 Mbps.
@@ -140,6 +144,33 @@ def generate_trace(
     return CellularTrace(
         profile_id=profile_id, scenario=scenario, samples_bps=samples_bps
     )
+
+
+@lru_cache(maxsize=TRACE_MEMO_SIZE, typed=True)
+def profile_trace(
+    profile_id: int, duration_s: int, seed: int
+) -> CellularTrace:
+    """:func:`generate_trace`, memoised on its exact arguments.
+
+    Every spec that names a profile resolves its bandwidth through
+    here, for its key as well as for its build, so a sweep generates
+    each distinct trace once per process.  Sharing one instance is
+    safe: the trace is frozen and its samples are a tuple.
+    """
+    return generate_trace(profile_id, duration_s, seed)
+
+
+@lru_cache(maxsize=TRACE_MEMO_SIZE, typed=True)
+def profile_schedule(
+    profile_id: int, duration_s: int, seed: int
+) -> TraceSchedule:
+    """The replay schedule of :func:`profile_trace`, memoised alike.
+
+    One instance serves every session and key that asks for it: a
+    :class:`TraceSchedule` is frozen and stateless, and its
+    ``next_change_at`` bisects change points computed at construction.
+    """
+    return profile_trace(profile_id, duration_s, seed).as_schedule()
 
 
 def cellular_profiles(

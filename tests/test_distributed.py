@@ -38,6 +38,7 @@ from repro.core.supervisor import (
     SweepPolicy,
     _lease_task,
 )
+from tests.support import check_cache_and_journal
 
 DURATION_S = 10.0
 
@@ -222,6 +223,13 @@ def test_execute_hosts_matches_serial_and_fills_cache(
         _specs(), hosts=["127.0.0.1:1"], cache=tmp_path / "cache"
     )
     assert cached == _baseline()
+
+
+def test_hosts_cache_and_journal_write_each_payload_once(
+    live_workers, tmp_path
+):
+    (worker,) = live_workers(1)
+    check_cache_and_journal(tmp_path, _specs(), hosts=[worker.host])
 
 
 def test_execute_refuses_keep_results_with_hosts():

@@ -15,20 +15,27 @@ import pickle
 
 import pytest
 
+import repro.net.traces
+from repro.analysis.faults import ErrorBurst, FaultSpec, SeededErrors
 from repro.cli import main
+from repro.core.fleet import FleetSpec
 from repro.core.outcome_cache import (
     OutcomeCache,
     UncacheableSpec,
     canonical_spec,
     code_fingerprint,
+    lease_key,
     resolve_outcome_cache,
     spec_key,
 )
 from repro.core.parallel import RunSpec, sweep_grid
 from repro.core.run import execute, run_one
+from repro.net.schedule import StepSchedule
+from repro.net.traces import TRACE_SEED, generate_trace
 from repro.obs import TraceConfig
 from repro.obs.metrics import process_registry
 from repro.services import ALL_SERVICE_NAMES
+from repro.util import mbps
 
 DURATION_S = 25.0
 
@@ -96,6 +103,104 @@ def test_file_backed_trace_sink_is_uncacheable(tmp_path):
     cache = OutcomeCache(tmp_path)
     assert cache.get(spec) is None  # a miss, not a crash
     assert cache.put(spec, run_one(_spec(), keep_result=False)) is False
+
+
+# Keys pinned as the code computed them before the trace memo and the
+# one-key-per-lease refactor: neither may move a key.  Each entry is
+# (spec, spec_key == lease_key).
+PINNED_KEYS = {
+    "profile-20s": (
+        RunSpec(service="H1", profile_id=9, duration_s=20.0),
+        "7440e896c2edf25be4cdc0597cc9ade2e27d73dd901df5f0e564a1fd16dfe94a",
+    ),
+    "profile-120s": (
+        RunSpec(service="H1", profile_id=9, duration_s=120.0),
+        "d4f0202a55792463ac12fd38d4c6a292e0f459dcf672c5998f5d873eb82009b0",
+    ),
+    # The explicit-trace twin of profile-20s collides with it on purpose.
+    "trace-20s": (
+        RunSpec(
+            service="H1", profile_id=9, duration_s=20.0,
+            trace=generate_trace(9, 20),
+        ),
+        "7440e896c2edf25be4cdc0597cc9ade2e27d73dd901df5f0e564a1fd16dfe94a",
+    ),
+    "step": (
+        RunSpec(
+            service="S1", duration_s=60.0,
+            schedule=StepSchedule.single_step(mbps(5), mbps(0.8), 30.0),
+        ),
+        "4b275dc9abaeba7f96cd00bdaab8458bc44f151f0bea05967409cc6e6b4fb427",
+    ),
+    "faults": (
+        RunSpec(
+            service="D2", profile_id=5, duration_s=90.0,
+            faults=FaultSpec(
+                error_bursts=(ErrorBurst(20.0, 35.0),),
+                seeded_errors=(SeededErrors(rate=0.08),),
+                reset_times=(40.0,),
+            ),
+            config_overrides=(("startup_buffer_s", 4.0),),
+        ),
+        "8fc4cd2eea3fb3aab521e494d79b9a8075bfc797220615f34cca7d772458818c",
+    ),
+    "fleet": (
+        FleetSpec(
+            services=("H1", "S1"), clients=4, duration_s=60.0,
+            profile_id=7, churn_seed=3,
+        ),
+        "7ac5a54ee0a6a1c83559474a24bd3ae7376a6413e3ba547b980eb02c2ed0d0f3",
+    ),
+    "ring-sink": (
+        RunSpec(
+            service="H4", profile_id=3, duration_s=30.0,
+            tracing=TraceConfig(sink="ring", capacity=512),
+        ),
+        "e041d9c718502be55c346c235747e60bd10b1b9c23003307261b3f02c361325e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+def test_pinned_keys_do_not_move(name):
+    spec, key = PINNED_KEYS[name]
+    assert spec_key(spec) == key
+    assert lease_key(spec) == key
+
+
+def test_pinned_file_sink_lease_key_does_not_move():
+    spec = RunSpec(
+        service="H1", profile_id=9, duration_s=20.0,
+        tracing=TraceConfig(sink="jsonl", path="lease-trace.jsonl"),
+    )
+    assert lease_key(spec) == (
+        "6e14dc7027bcb75c11a90df0be1ed1467951ff75c4215f56d903b77b37334990"
+    )
+
+
+def test_keys_and_builds_share_one_generated_trace(monkeypatch):
+    """A profile's trace is generated once per process, not once per
+    key: the memo serves the cache key, the lease key and the build."""
+    calls = []
+    original = repro.net.traces.generate_trace
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(repro.net.traces, "generate_trace", counted)
+    memo = repro.net.traces
+    memo.profile_trace.cache_clear()
+    memo.profile_schedule.cache_clear()
+    spec = _spec(duration_s=21.0, trace_seed=TRACE_SEED + 1)
+    spec_key(spec)
+    lease_key(spec)
+    spec.build()
+    assert spec.resolved_trace() is spec.resolved_trace()
+    assert calls == [(9, 21, TRACE_SEED + 1)]
+    assert memo.profile_schedule(9, 21, TRACE_SEED + 1) is (
+        spec.resolved_schedule()
+    )
 
 
 def test_code_fingerprint_is_cached_and_short():

@@ -7,12 +7,15 @@ and one whose answer comes late would replay the old capacity past a
 change.  These tests hold every exported schedule to the protocol,
 ``bandwidth_at`` to one rate at every tick start before the answer
 (and at the last float before it), and the event engine to the tick
-oracle on each combinator.
+oracle on each combinator.  Every combinator is a frozen dataclass, so
+a spec built on one has a cache key and a lease key.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
+from bisect import bisect_left
 from dataclasses import replace
 from functools import lru_cache
 
@@ -21,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net
+from repro.core.outcome_cache import OutcomeCache, lease_key, spec_key
 from repro.core.parallel import RunSpec
-from repro.core.run import run_one
+from repro.core.run import execute, run_one
 from repro.net import (
     BandwidthSchedule,
     ClampedSchedule,
@@ -163,6 +167,34 @@ def test_rate_is_constant_until_next_change(schedule, dt, first):
         assert schedule.bandwidth_at(math.nextafter(change, -math.inf)) == rate
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(RATES, min_size=2, max_size=12),
+    interval=st.sampled_from([0.05, 0.1, 0.3, 0.7, 1.0]),
+    dt=st.sampled_from([0.05, 0.1, 0.2]),
+    first=st.integers(0, 1200),
+)
+def test_trace_schedule_answers_at_its_sample_boundary(
+    samples, interval, dt, first
+):
+    """``sample * interval`` rounds either way when the interval is not
+    a binary fraction; the answer must still be the first time
+    ``bandwidth_at`` reads the next different sample."""
+    schedule = TraceSchedule.from_samples(samples, interval)
+    starts = _tick_starts(dt)
+    for index in range(first, first + 40):
+        t = starts[index]
+        rate = schedule.bandwidth_at(t)
+        change = schedule.next_change_at(t)
+        assert change > t
+        if change == math.inf:
+            continue
+        for later in starts[index:bisect_left(starts, change)]:
+            assert schedule.bandwidth_at(later) == rate, (t, later, change)
+        assert schedule.bandwidth_at(math.nextafter(change, -math.inf)) == rate
+        assert schedule.bandwidth_at(change) != rate  # not early either
+
+
 def test_concat_answer_steps_back_past_rounding():
     """``14.2 + 45.2`` rounds one ulp above 59.4, where the phase
     already reads the step (``59.4 - 14.2 == 45.2``)."""
@@ -201,3 +233,73 @@ def test_event_engine_matches_tick_on_combinator(name):
     spec = RunSpec(service="H1", schedule=EXAMPLES[name], duration_s=60.0)
     tick = _observed(replace(spec, engine="tick"))
     assert _observed(replace(spec, engine="event")) == tick
+
+
+# ---------------------------------------------------------------------------
+# Keys: combinators are frozen dataclasses, so their specs are keyable
+# ---------------------------------------------------------------------------
+
+
+def _key(schedule):
+    return spec_key(RunSpec(service="H1", schedule=schedule, duration_s=20.0))
+
+
+def _concat(first_s=12.35, rate=mbps(5)):
+    return ConcatSchedule([(ConstantSchedule(rate), first_s), (STEP, 20.0)])
+
+
+KEYED = ("ConcatSchedule", "JitteredSchedule", "nested")
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_combinator_specs_have_cache_and_lease_keys(name):
+    spec = RunSpec(service="H1", schedule=EXAMPLES[name], duration_s=20.0)
+    assert spec_key(spec) == lease_key(spec)
+
+
+def test_equal_combinators_are_equal_and_share_a_key():
+    as_list = _concat()
+    as_tuple = ConcatSchedule(tuple(as_list.phases))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert _key(as_list) == _key(as_tuple)
+    jittered = JitteredSchedule(STEP, sigma=0.2, seed=5)
+    again = JitteredSchedule(STEP, sigma=0.2, seed=5)
+    assert jittered == again and hash(jittered) == hash(again)
+    assert _key(jittered) == _key(again)
+    assert RunSpec(service="H1", schedule=jittered) == RunSpec(
+        service="H1", schedule=again
+    )
+
+
+def test_combinator_fields_split_the_key_space():
+    assert _key(_concat()) != _key(_concat(first_s=12.4))
+    assert _key(_concat()) != _key(_concat(rate=mbps(4)))
+    jittered = _key(JitteredSchedule(STEP, sigma=0.2, seed=5))
+    assert jittered != _key(JitteredSchedule(STEP, sigma=0.2, seed=6))
+    assert jittered != _key(JitteredSchedule(STEP, sigma=0.25, seed=5))
+    assert jittered != _key(
+        JitteredSchedule(STEP, sigma=0.2, seed=5, horizon_s=60)
+    )
+
+
+def test_combinators_round_trip_through_pickle():
+    times = [0.05 * k for k in range(800)]
+    for name in KEYED:
+        schedule = EXAMPLES[name]
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy == schedule
+        assert [copy.bandwidth_at(t) for t in times] == [
+            schedule.bandwidth_at(t) for t in times
+        ]
+
+
+def test_second_cached_pass_over_combinators_is_all_hits(tmp_path):
+    specs = [
+        RunSpec(service="H1", schedule=EXAMPLES[name], duration_s=20.0)
+        for name in KEYED
+    ]
+    cache = OutcomeCache(tmp_path)
+    first = execute(specs, workers=0, cache=cache)
+    second = execute(specs, workers=0, cache=cache)
+    assert (cache.misses, cache.hits) == (len(specs), len(specs))
+    assert second == first

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.outcome_cache import code_fingerprint, lease_key
+from repro.core.outcome_cache import OutcomeCache, code_fingerprint, lease_key
 from repro.core.parallel import RunSpec
 from repro.core.pool import close_worker_pool
 from repro.core.run import aggregate_metrics, execute
@@ -39,6 +39,7 @@ from repro.core.supervisor import (
     sweep_key,
 )
 from repro.obs.metrics import EMPTY_SNAPSHOT
+from tests.support import check_cache_and_journal
 
 DURATION_S = 10.0
 _ENV_DIR = "REPRO_SUP_TEST_DIR"
@@ -311,6 +312,30 @@ def test_journalled_pool_sweep_matches_serial_and_resumes(tmp_path):
     # Three leases, three journal lines: the resume re-ran nothing.
     lines = (tmp_path / "journal.jsonl").read_text().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["serial", "pool"])
+def test_cache_and_journal_write_each_payload_once(tmp_path, workers):
+    check_cache_and_journal(tmp_path, _specs(), workers=workers)
+
+
+def test_journal_with_a_cache_resumes_from_that_cache(tmp_path):
+    specs = _specs()
+    cache = OutcomeCache(tmp_path / "cache")
+    execute(specs, workers=0, cache=cache, journal=tmp_path / "j")
+    sup = SweepSupervisor(0, journal=SweepJournal(tmp_path / "j", cache=cache))
+    assert sup.run(specs) == _baseline()
+    assert sup.stats.resumed_skips == 3
+    # Without the cache a done line finds no payload, so its lease re-runs.
+    bare = SweepSupervisor(0, journal=SweepJournal(tmp_path / "j"))
+    assert bare.run(specs) == _baseline()
+    assert bare.stats.resumed_skips == 0
+
+
+def test_sweep_key_takes_precomputed_lease_keys():
+    specs = _specs()
+    keys = [lease_key(spec) for spec in specs]
+    assert sweep_key(specs, keys) == sweep_key(specs)
 
 
 def test_keep_results_refuses_supervision(tmp_path):
