@@ -1,11 +1,11 @@
 """Observability overhead: the trace spine must be free when disabled.
 
-Runs a sample of the grid three ways — tracer disabled (the default),
-tracer enabled (unbounded ring buffer), and enabled + profiling — and
-writes the wall-clock deltas to ``benchmarks/BENCH_obs.json``.  The
-acceptance bar: the disabled path costs <= 5% over the pre-obs
-baseline, which here means the disabled runs *are* the baseline and
-the enabled runs are compared against them.
+Runs a sample of the grid two ways — tracer disabled (the default) and
+tracer enabled (unbounded ring buffer) — and writes the wall-clock
+delta to ``benchmarks/BENCH_obs.json``.  The acceptance bar: the
+disabled path costs <= 5% over the pre-obs baseline, which here means
+the disabled runs *are* the baseline and the enabled runs are compared
+against them.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ GRID_PROFILES = (2, 5, 9, 13)
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 
-def _timed(specs, *, tracer=None, profile=False, repeats=3):
+def _timed(specs, *, tracer=None, repeats=3):
     """Best-of-N wall time for one sweep configuration (warm cache)."""
     best = float("inf")
     outcomes = None
     for _ in range(repeats):
         start = time.perf_counter()
-        outcomes = execute(specs, workers=0, tracer=tracer, profile=profile)
+        outcomes = execute(specs, workers=0, tracer=tracer)
         best = min(best, time.perf_counter() - start)
     return outcomes, best
 
@@ -49,7 +49,6 @@ def test_perf_obs_overhead(benchmark, show):
 
         disabled, disabled_wall = _timed(grid)
         traced, traced_wall = _timed(grid, tracer=True)
-        profiled, profiled_wall = _timed(grid, tracer=True, profile=True)
 
         events = sum(len(outcome.trace) for outcome in traced)
         return {
@@ -65,14 +64,9 @@ def test_perf_obs_overhead(benchmark, show):
                 "overhead_vs_disabled": traced_wall / disabled_wall - 1.0,
                 "events": events,
             },
-            "profiled": {
-                "wall_s": profiled_wall,
-                "overhead_vs_disabled": profiled_wall / disabled_wall - 1.0,
-            },
             "records_identical": (
                 [outcome.record for outcome in disabled]
                 == [outcome.record for outcome in traced]
-                == [outcome.record for outcome in profiled]
             ),
             "env": bench_env(),
         }
@@ -89,9 +83,6 @@ def test_perf_obs_overhead(benchmark, show):
             ["traced",
              f"{results['traced']['wall_s']:.2f}",
              f"{results['traced']['overhead_vs_disabled']:+.1%}"],
-            ["traced+profiled",
-             f"{results['profiled']['wall_s']:.2f}",
-             f"{results['profiled']['overhead_vs_disabled']:+.1%}"],
         ],
     )
 

@@ -1,9 +1,10 @@
 """Sweep engine throughput: simulated seconds per wall second.
 
-Times the full paper grid (12 services x 14 profiles) through the sweep
-engine's backends — serial on the tick oracle, serial on the event
-engine, parallel — plus the encode cache in isolation, and writes the
-numbers to ``benchmarks/BENCH_sweep.json`` as a regression baseline.
+Times the full paper grid (12 services x 14 profiles) through
+``execute()``'s backends — serial on the tick oracle, serial on the
+event engine, the worker pool — plus the encode cache in isolation,
+and writes the numbers to ``benchmarks/BENCH_sweep.json`` as a
+regression baseline.
 
 Run-to-run output equality between backends is asserted here at full
 grid scale (records are compared with ``==``), so this doubles as the
@@ -18,11 +19,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.parallel import (
-    SweepRunner,
-    default_worker_count,
-    sweep_grid,
-)
+from repro.core.parallel import default_worker_count, sweep_grid
+from repro.core.run import execute
 from repro.media.cache import asset_cache, clear_asset_cache
 from repro.net.traces import PROFILE_COUNT
 from repro.services import ALL_SERVICE_NAMES, get_service
@@ -33,11 +31,13 @@ GRID_DURATION_S = 45.0
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
 
-def _timed_run(runner: SweepRunner, grid, *, cold_cache: bool):
+def _timed_run(grid, *, workers: int, cold_cache: bool):
     if cold_cache:
         clear_asset_cache()
     start = time.perf_counter()
-    records = runner.run(grid)
+    records = [
+        outcome.record for outcome in execute(grid, workers=workers)
+    ]
     wall = time.perf_counter() - start
     simulated = sum(record.duration_s for record in records)
     return records, wall, simulated
@@ -55,7 +55,7 @@ def test_perf_sweep(benchmark, show):
     def run():
         results = {}
         serial_records, serial_wall, simulated = _timed_run(
-            SweepRunner(workers=0), grid, cold_cache=True
+            grid, workers=0, cold_cache=True
         )
         results["serial"] = {
             "wall_s": serial_wall,
@@ -63,7 +63,7 @@ def test_perf_sweep(benchmark, show):
         }
 
         event_records, event_wall, event_sim = _timed_run(
-            SweepRunner(workers=0), event_grid, cold_cache=False
+            event_grid, workers=0, cold_cache=False
         )
         assert event_sim == simulated
         results["event"] = {
@@ -90,7 +90,7 @@ def test_perf_sweep(benchmark, show):
 
         workers = max(default_worker_count(), 2)
         parallel_records, parallel_wall, _ = _timed_run(
-            SweepRunner(workers=workers, chunksize=4), grid, cold_cache=True
+            grid, workers=workers, cold_cache=True
         )
         results["parallel"] = {
             "workers": workers,

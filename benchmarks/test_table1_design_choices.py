@@ -19,7 +19,6 @@ from repro.blackbox import (
     probe_download_thresholds,
     probe_startup_buffer,
 )
-from repro.core.parallel import default_worker_count, parallel_map
 from tests.support import run_session
 from repro.media.track import StreamType
 from repro.net.schedule import ConstantSchedule
@@ -54,12 +53,9 @@ def _measure(name):
 
 def test_table1_design_choices(benchmark, show):
     def run():
-        # One worker task per service: _measure returns only picklable
-        # probe results, so the sweep engine can fan the 12 services out.
-        measurements = parallel_map(
-            _measure, ALL_SERVICE_NAMES, workers=default_worker_count()
-        )
-        return dict(zip(ALL_SERVICE_NAMES, measurements))
+        # The probes run in process, one service after another: a
+        # probe battery is a handful of short sessions per service.
+        return {name: _measure(name) for name in ALL_SERVICE_NAMES}
 
     measured = once(benchmark, run)
 

@@ -15,7 +15,6 @@ from repro.core.bestpractices import (
     detect_non_persistent,
     detect_unstable_selection,
 )
-from repro.core.parallel import default_worker_count, parallel_map
 from tests.support import run_session
 from repro.net.schedule import ConstantSchedule, StepSchedule
 from repro.net.traces import generate_trace
@@ -73,13 +72,9 @@ def _detect_for_service(name):
 
 def test_table2_issue_detection(benchmark, show):
     def run():
-        per_service = parallel_map(
-            _detect_for_service, ALL_SERVICE_NAMES,
-            workers=default_worker_count(),
-        )
         found: dict[Issue, set[str]] = {issue: set() for issue in EXPECTED}
-        for name, issues in zip(ALL_SERVICE_NAMES, per_service):
-            for issue in issues:
+        for name in ALL_SERVICE_NAMES:
+            for issue in _detect_for_service(name):
                 found[issue].add(name)
         return found
 

@@ -67,14 +67,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
-from repro.core.outcome_cache import OutcomeCache, code_fingerprint, lease_key
+from repro.core.outcome_cache import OutcomeCache, code_fingerprint
 from repro.core.supervisor import (
     LeaseResult,
     SweepJournal,
     SweepPolicy,
     SweepSupervisor,
+    _Lease,
     _lease_task,
-    restore_from_journal,
+    resume_leases,
 )
 from repro.obs.metrics import process_registry
 
@@ -84,8 +85,9 @@ if TYPE_CHECKING:  # circular at runtime: run.py dispatches to this module
 log = logging.getLogger("repro.dispatch")
 
 #: Bump when the message schema changes incompatibly; the handshake
-#: refuses a version mismatch before any work is exchanged.
-PROTOCOL_VERSION = 1
+#: refuses a version mismatch before any work is exchanged.  Version 2:
+#: a shard carries its leases' keys beside its specs.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame/file; anything larger is a protocol error
 #: (a lease payload is a compact comparable outcome, not a session graph).
@@ -398,11 +400,15 @@ class SweepWorker:
         return msg["session"]
 
     def _run_shard(self, channel, session: str, msg: dict) -> None:
-        """Execute one shard under local supervision, streaming leases."""
+        """Execute one shard under local supervision, streaming leases.
+
+        The shard's lease keys come from the coordinator, which already
+        computed them; the worker never keys a spec itself.
+        """
         specs = _unpack(msg["specs"])
+        keys = msg.get("keys")
         policy = _unpack(msg["policy"]) if msg.get("policy") else None
         shard_id = msg["id"]
-        profile = bool(msg.get("profile", False))
 
         def stream(result: LeaseResult) -> None:
             payload: dict = {
@@ -449,10 +455,14 @@ class SweepWorker:
         if self.workers > 0 and len(specs) > 1:
             from repro.core.run import _plan_chunks
 
-            chunks = _plan_chunks(specs, self.workers, None)
+            chunks = _plan_chunks(specs, self.workers)
             order = [i for chunk in chunks for i in chunk]
         try:
-            supervisor.run(specs, profile=profile, order=order)
+            if not isinstance(keys, list) or len(keys) != len(specs):
+                raise ValueError(
+                    f"shard keys do not match its {len(specs)} spec(s)"
+                )
+            supervisor.run(specs, order=order, keys=keys)
         except Exception as exc:  # noqa: BLE001 - forwarded to coordinator
             log.error("worker %s: shard %s failed: %s",
                       self.label, shard_id, exc)
@@ -568,13 +578,6 @@ class DispatchStats:
     redispatched_leases: int = 0
     hosts_unreachable: int = 0
     local_fallback_leases: int = 0
-
-
-@dataclass
-class _Lease:
-    index: int
-    spec: "RunSpec"
-    key: Optional[str]
 
 
 @dataclass
@@ -696,7 +699,7 @@ class SweepCoordinator:
         from repro.core.run import _plan_chunks
 
         specs = [lease.spec for lease in leases]
-        chunks = _plan_chunks(specs, max(1, len(self.remotes)), None)
+        chunks = _plan_chunks(specs, max(1, len(self.remotes)))
         with self._lock:
             for chunk in chunks:
                 self._enqueue_shard([leases[i] for i in chunk])
@@ -774,7 +777,7 @@ class SweepCoordinator:
 
     # -- the per-worker pump -----------------------------------------------
 
-    def _serve_remote(self, remote: _Remote, outcomes: list, profile: bool):
+    def _serve_remote(self, remote: _Remote, outcomes: list):
         while True:
             with self._work:
                 # An empty queue is not the end while a peer still owns
@@ -789,7 +792,7 @@ class SweepCoordinator:
                     break
                 shard = self._queue.popleft()
                 self._inflight += 1
-            alive = self._pump_shard(remote, shard, outcomes, profile)
+            alive = self._pump_shard(remote, shard, outcomes)
             with self._work:
                 self._inflight -= 1
                 self._work.notify_all()
@@ -802,7 +805,7 @@ class SweepCoordinator:
         remote.channel.close()
 
     def _pump_shard(
-        self, remote: _Remote, shard: _Shard, outcomes: list, profile: bool
+        self, remote: _Remote, shard: _Shard, outcomes: list
     ) -> bool:
         """Run one shard on one remote; False = the remote is gone."""
         pending = set(range(len(shard.leases)))
@@ -812,8 +815,8 @@ class SweepCoordinator:
                 "session": self._session,
                 "id": shard.id,
                 "specs": _pack([lease.spec for lease in shard.leases]),
+                "keys": [lease.key for lease in shard.leases],
                 "policy": _pack(self.policy) if self.policy else None,
-                "profile": profile,
             })
             self._count("leases_sent", len(shard.leases))
             while pending:
@@ -872,7 +875,6 @@ class SweepCoordinator:
         self,
         specs: Sequence["RunSpec"],
         *,
-        profile: bool = False,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> list:
         """Execute every spec across the hosts; outcomes in spec order.
@@ -881,31 +883,16 @@ class SweepCoordinator:
         them already.
         """
         outcomes: list = [None] * len(specs)
-        if keys is None:
-            keys = [lease_key(spec) for spec in specs]
-        leases = [
-            _Lease(index=i, spec=spec, key=key)
-            for i, (spec, key) in enumerate(zip(specs, keys))
-        ]
-        pending: list[_Lease] = []
-        for lease in leases:
-            restored = restore_from_journal(
-                self.journal, lease.spec, lease.key
-            )
-            if restored is not None:
-                outcomes[lease.index] = restored
-                process_registry().counter("sweep.resumed_skips").inc()
-                continue
-            pending.append(lease)
+        pending = resume_leases(specs, keys, self.journal, outcomes)
         if not pending:
             return outcomes
 
         self._connect_all()
         if self.remotes and self.journal is not None:
             with self.journal.batched(self.journal_flush_every):
-                self._dispatch(pending, outcomes, profile)
+                self._dispatch(pending, outcomes)
         elif self.remotes:
-            self._dispatch(pending, outcomes, profile)
+            self._dispatch(pending, outcomes)
         if self._failure is not None:
             raise RuntimeError(f"distributed sweep failed: {self._failure}")
 
@@ -929,7 +916,6 @@ class SweepCoordinator:
             )
             local = supervisor.run(
                 [lease.spec for lease in remaining],
-                profile=profile,
                 keys=[lease.key for lease in remaining],
             )
             for lease, outcome in zip(remaining, local):
@@ -937,13 +923,13 @@ class SweepCoordinator:
         return outcomes
 
     def _dispatch(
-        self, pending: list[_Lease], outcomes: list, profile: bool
+        self, pending: list[_Lease], outcomes: list
     ) -> None:
         self._plan_shards(pending)
         threads = [
             threading.Thread(
                 target=self._serve_remote,
-                args=(remote, outcomes, profile),
+                args=(remote, outcomes),
                 name=f"dispatch-{remote.label}",
                 daemon=True,
             )
@@ -954,26 +940,3 @@ class SweepCoordinator:
         for thread in threads:
             thread.join()
 
-
-def execute_distributed(
-    specs: Sequence["RunSpec"],
-    hosts: Sequence[HostSpec],
-    *,
-    policy: Optional[SweepPolicy] = None,
-    journal: Optional[SweepJournal] = None,
-    local_workers: int = 0,
-    profile: bool = False,
-    keys: Optional[Sequence[Optional[str]]] = None,
-) -> list:
-    """``execute()``'s distributed backend: shard ``specs`` over ``hosts``.
-
-    Thin sugar over :class:`SweepCoordinator` so the run API's seam
-    stays one call wide.
-    """
-    coordinator = SweepCoordinator(
-        hosts,
-        policy=policy,
-        journal=journal,
-        local_workers=local_workers,
-    )
-    return coordinator.run(specs, profile=profile, keys=keys)

@@ -57,7 +57,6 @@ import enum
 import heapq
 import itertools
 import math
-from time import perf_counter
 
 from repro.core.session import Session, SessionResult
 from repro.net.network import (
@@ -276,8 +275,6 @@ class EventDrivenSession(EventLoopCore, Session):
     # -- main loop ---------------------------------------------------------
 
     def run(self, duration_s: float) -> SessionResult:
-        profiler = self.obs.profiler
-        t0 = perf_counter() if profiler is not None else 0.0
         dt = self.clock.dt
         limit = duration_s - 1e-9
         self._limit = limit
@@ -303,8 +300,6 @@ class EventDrivenSession(EventLoopCore, Session):
                 self._after_dispatch()
                 continue
             self._batch_to(min(next_t, limit), limit, dt)
-        if profiler is not None:
-            profiler.add("event_loop", perf_counter() - t0, 1)
         return self._finish()
 
     def _batch_to(self, target: float, limit: float, dt: float) -> None:

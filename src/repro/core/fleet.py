@@ -596,18 +596,15 @@ def run_fleet(
     spec: FleetSpec,
     *,
     keep_results: bool = False,
-    profile: bool = False,
 ) -> FleetOutcome:
     """Execute one fleet in process and return its full outcome.
 
     The fleet counterpart of :func:`~repro.core.run.run_one` (which
     dispatches here when handed a FleetSpec, so ``execute()``, the
     cache, the supervisor and the journal all take fleets unchanged).
-    ``keep_results`` attaches the live per-client handles; ``profile``
-    is accepted for signature compatibility with the supervisor's lease
-    path (fleets carry their cost story in ``tick_stats``).
+    ``keep_results`` attaches the live per-client handles; a fleet
+    carries its cost story in ``tick_stats``.
     """
-    del profile  # no per-phase profiler on the fleet path (yet)
     session = FleetSession(spec)
     results = session.run()
     records = tuple(result.record for result in results)

@@ -1,21 +1,17 @@
-"""Parallel sweep engine: fan the paper's grid over worker processes.
+"""Run specs and records: the picklable unit of every sweep.
 
 The methodology of section 2.6 is a sweep — 12 services x 14 cellular
 profiles x repetitions, 10 minutes each — and every run is independent
-of every other.  :class:`SweepRunner` exploits that: it describes each
-run as a picklable :class:`RunSpec`, executes the grid on a
-``ProcessPoolExecutor`` (or in process with ``workers=0``), and returns
-compact :class:`RunRecord` summaries instead of live player/proxy
-graphs.
+of every other.  This module describes each run as a picklable
+:class:`RunSpec` and distils its result into a compact
+:class:`RunRecord` instead of live player/proxy graphs;
+:func:`repro.core.run.execute` runs them, in process or over worker
+processes.
 
-Determinism guarantees:
-
-* records come back in the exact order of the submitted specs
-  regardless of which worker finished first (``Executor.map``);
-* a record is a pure function of its spec — the simulation seeds
-  everything from the spec and nothing in a record depends on wall
-  time or worker identity — so ``workers=N`` and ``workers=0`` produce
-  bit-identical sequences.
+Determinism guarantee: a record is a pure function of its spec — the
+simulation seeds everything from the spec and nothing in a record
+depends on wall time or worker identity — so ``workers=N`` and
+``workers=0`` produce bit-identical sequences.
 
 Workers warm the per-process asset-encoding cache
 (:mod:`repro.media.cache`) on their first run of each (service,
@@ -29,9 +25,8 @@ alive across calls.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Hashable, Optional, Sequence, Union
 
 from repro.analysis.faults import FaultSpec
 from repro.analysis.proxy import ManifestRewriter
@@ -62,10 +57,6 @@ from repro.services.profiles import (
     build_service,
     get_service,
 )
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -153,11 +144,10 @@ class RunSpec:
         """Materialise the spec into a ready-to-run :class:`Session`.
 
         The single construction path behind every entry point
-        (``run_one``, ``execute``, the deprecated shims): encode + host
-        the service, apply ``config_overrides`` (or an explicit
-        ``player_config`` — live-object extras like it and
-        ``manifest_rewriter`` exist for in-process callers and never
-        ride the spec across workers).
+        (``run_one`` and ``execute``): encode + host the service, apply
+        ``config_overrides`` (or an explicit ``player_config`` —
+        live-object extras like it and ``manifest_rewriter`` exist for
+        in-process callers and never ride the spec across workers).
         """
         service = (
             get_service(self.service)
@@ -294,26 +284,6 @@ def record_from_result(spec: RunSpec, result: SessionResult) -> RunRecord:
     )
 
 
-def _session_for_spec(spec: RunSpec) -> Session:
-    return spec.build()
-
-
-def execute_run_spec(spec: RunSpec) -> RunRecord:
-    """Run one spec to completion (module level, hence pool-picklable)."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result)
-
-
-def execute_run_spec_with_result(
-    spec: RunSpec,
-) -> tuple[RunRecord, SessionResult]:
-    """Serial-only variant that also keeps the live session result."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result), result
-
-
 @dataclass(frozen=True)
 class TickStats:
     """How a session's simulated ticks were actually executed.
@@ -368,13 +338,6 @@ class TickStats:
 TickStats.ZERO = TickStats(0, 0, 0, 0, 0)
 
 
-def execute_run_spec_with_stats(spec: RunSpec) -> tuple[RunRecord, TickStats]:
-    """Like :func:`execute_run_spec`, plus tick-execution accounting."""
-    session = _session_for_spec(spec)
-    result = session.run(spec.duration_s)
-    return record_from_result(spec, result), TickStats.from_session(session)
-
-
 def default_worker_count() -> int:
     """Workers to use when unspecified: leave one core free, cap at 8.
 
@@ -382,37 +345,6 @@ def default_worker_count() -> int:
     process fan-out cannot beat in-process execution there.
     """
     return max(0, min(8, (os.cpu_count() or 1) - 1))
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: Optional[int] = None,
-    chunksize: int = 1,
-    reuse_pool: bool = True,
-) -> list[R]:
-    """Ordered map over worker processes, serial when ``workers`` <= 0.
-
-    ``fn`` must be a module-level callable and items/results must be
-    picklable.  Results preserve the order of ``items``.  By default
-    the map runs on the process-wide persistent pool
-    (:func:`repro.core.pool.worker_pool`) so repeated sweeps share one
-    set of warmed workers; ``reuse_pool=False`` restores the old
-    spawn-and-tear-down behaviour (benchmarks use it as the cold
-    baseline).
-    """
-    from repro.core.pool import worker_pool
-
-    items = list(items)
-    if workers is None:
-        workers = default_worker_count()
-    if workers <= 0 or len(items) <= 1:
-        return [fn(item) for item in items]
-    if reuse_pool:
-        return worker_pool(workers).map(fn, items, chunksize=chunksize)
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def sweep_grid(
@@ -438,48 +370,3 @@ def sweep_grid(
         for profile_id in profile_ids
         for repetition in range(repetitions)
     ]
-
-
-class SweepRunner:
-    """Execute a sequence of :class:`RunSpec`s, serially or in parallel.
-
-    ``workers=0`` runs in process; ``workers=N`` fans out over N worker
-    processes; ``workers=None`` picks :func:`default_worker_count`.
-    Either way the returned records are identical, in spec order.
-    """
-
-    def __init__(self, workers: Optional[int] = None, *, chunksize: int = 1):
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.workers = workers
-        self.chunksize = chunksize
-
-    def run(self, specs: Sequence[RunSpec]) -> list[RunRecord]:
-        return parallel_map(
-            execute_run_spec,
-            specs,
-            workers=self.workers,
-            chunksize=self.chunksize,
-        )
-
-    def run_with_results(
-        self, specs: Sequence[RunSpec]
-    ) -> list[tuple[RunRecord, SessionResult]]:
-        """In-process execution that keeps live results (never parallel:
-        sessions hold unpicklable object graphs)."""
-        return [execute_run_spec_with_result(spec) for spec in specs]
-
-    def run_with_stats(
-        self, specs: Sequence[RunSpec]
-    ) -> list[tuple[RunRecord, TickStats]]:
-        """Like :meth:`run`, but each record carries its tick accounting."""
-        return parallel_map(
-            execute_run_spec_with_stats,
-            specs,
-            workers=self.workers,
-            chunksize=self.chunksize,
-        )

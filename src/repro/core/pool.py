@@ -1,11 +1,11 @@
 """Persistent worker pool: one process fan-out, reused across sweeps.
 
-Before the sweep fabric, every ``execute()`` / ``parallel_map`` call
-built a fresh ``ProcessPoolExecutor`` and tore it down on return.  A
-CLI invocation that sweeps service-by-service, a black-box probe
-battery, or a benchmark that re-runs the grid therefore paid pool
-spawn — and, worse, worker-side asset-encode warm-up — once *per
-call* instead of once per process.
+Before the sweep fabric, every ``execute()`` call built a fresh
+``ProcessPoolExecutor`` and tore it down on return.  A CLI invocation
+that sweeps service-by-service, a black-box probe battery, or a
+benchmark that re-runs the grid therefore paid pool spawn — and,
+worse, worker-side asset-encode warm-up — once *per call* instead of
+once per process.
 
 :class:`WorkerPool` wraps one executor that stays alive between calls:
 
@@ -13,8 +13,9 @@ call* instead of once per process.
   every later caller asking for the same worker count;
 * explicitly closeable (:func:`close_worker_pool`); a closed pool is
   transparently re-created on the next request;
-* a task that *raises* leaves the pool usable — only a broken pool
-  (worker process died) is discarded;
+* a task that *raises* delivers its exception on its future and leaves
+  the pool usable; a broken pool (worker process died) is revived in
+  place by :meth:`WorkerPool.respawn`;
 * an optional initializer pre-warms each worker's asset-encode cache
   from picklable ``(service, duration_s, content_seed)`` warm keys, so
   catalogues are encoded during spawn instead of inside the first
@@ -27,7 +28,7 @@ produce.  Outcomes are pure functions of their specs, so cold-pool,
 warm-pool and in-process execution compare ``==`` — the invariant the
 fabric tests assert.
 
-Pool lifecycle counters (spawns, map calls, tasks dispatched) land in
+Pool lifecycle counters (spawns, respawns, tasks dispatched) land in
 the process-level metrics registry
 (:func:`repro.obs.metrics.process_registry`), *not* in per-run
 registries: pool history is a process effect and must stay out of the
@@ -38,8 +39,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from repro.obs.metrics import process_registry
 
@@ -66,7 +66,7 @@ def _warm_worker(warm_keys: Sequence[WarmKey]) -> None:
 
 
 class WorkerPool:
-    """A closeable, reusable process pool with ordered ``map``.
+    """A closeable, reusable process pool with future-per-task ``submit``.
 
     Thin by design: the locality-aware chunk planning lives in
     ``core/run.py`` — the pool only owns process lifecycle.
@@ -78,7 +78,6 @@ class WorkerPool:
         self.workers = workers
         self.warm_keys = tuple(warm_keys)
         self._closed = False
-        self.map_calls = 0
         self.tasks_dispatched = 0
         self.tasks_failed = 0
         self.respawns = 0
@@ -102,10 +101,10 @@ class WorkerPool:
     def submit(self, fn: Callable[[T], R], item: T) -> Future:
         """Submit one task; counted only when submission succeeds.
 
-        The future-per-task entry point the sweep supervisor dispatches
-        through: unlike :meth:`map`, a task exception is delivered on
-        the future, and a broken pool leaves this object alive so
-        :meth:`respawn` can revive it in place.
+        The one dispatch entry point, used by the sweep supervisor: a
+        task exception is delivered on the future, and a broken pool
+        leaves this object alive so :meth:`respawn` can revive it in
+        place.
         """
         if self._closed:
             raise RuntimeError("WorkerPool is closed")
@@ -118,45 +117,6 @@ class WorkerPool:
         """Record one task that raised (the pool itself stays healthy)."""
         self.tasks_failed += 1
         process_registry().counter("pool.tasks_failed").inc()
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        *,
-        chunksize: int = 1,
-    ) -> list[R]:
-        """Ordered map over the pool's workers.
-
-        A task exception propagates to the caller but leaves the pool
-        alive; a broken pool (worker process death) closes the pool so
-        the next :func:`worker_pool` call starts a fresh one.  Tasks are
-        counted only once actually handed to the executor — a map that
-        dies at submission reports zero dispatches, not the full batch.
-        """
-        if self._closed:
-            raise RuntimeError("WorkerPool is closed")
-        items = list(items)
-        self.map_calls += 1
-        registry = process_registry()
-        registry.counter("pool.map_calls").inc()
-        try:
-            # Executor.map submits every item eagerly inside the call;
-            # once it returns, the batch really was dispatched.
-            results = self._executor.map(fn, items, chunksize=chunksize)
-        except BrokenProcessPool:
-            self.close()
-            raise
-        self.tasks_dispatched += len(items)
-        registry.counter("pool.tasks_dispatched").inc(len(items))
-        try:
-            return list(results)
-        except BrokenProcessPool:
-            self.close()
-            raise
-        except BaseException:
-            self.note_task_failure()
-            raise
 
     def respawn(self, *, kill_workers: bool = False) -> None:
         """Replace the executor with a fresh one, in place.

@@ -1,9 +1,6 @@
-"""The unified run API: one entry point for every way to execute runs.
+"""The run API: the one way to execute run specs.
 
-Historically the repo grew three divergent entry points — ``run_session``
-(one live session), ``run_service_over_profiles`` (a serial-or-parallel
-profile sweep with its own kwargs), and the resilience sweep (raw
-``SweepRunner`` plumbing).  This module collapses them onto a single
+Every run, single or swept, goes through two verbs on one
 RunSpec-first shape:
 
     spec = RunSpec(service="H1", profile_id=9, duration_s=120.0)
@@ -16,18 +13,20 @@ accounting, the run's metrics snapshot and (when tracing) its trace —
 all picklable, so ``workers=N`` returns exactly what ``workers=0``
 returns, in spec order.
 
-``execute`` is also the seat of the **sweep fabric** (PR 5): parallel
-sweeps run on the persistent worker pool (:mod:`repro.core.pool`),
-specs are grouped by :func:`~repro.core.parallel.catalogue_key` and
-submitted catalogue-locality first, and ``cache=`` memoises whole
-outcomes through the content-addressed :mod:`repro.core.outcome_cache`.
+``execute`` is also the seat of the **sweep fabric**: parallel sweeps
+run on the persistent worker pool (:mod:`repro.core.pool`), specs are
+grouped by :func:`~repro.core.parallel.catalogue_key` and submitted
+catalogue-locality first, and ``cache=`` memoises whole outcomes
+through the content-addressed :mod:`repro.core.outcome_cache`.
 Parallel dispatch itself is owned by the crash-safe
-:class:`~repro.core.supervisor.SweepSupervisor` (PR 8): future-per-task
+:class:`~repro.core.supervisor.SweepSupervisor`: future-per-task
 leases with per-spec timeout, capped retries, poison quarantine,
 ``BrokenProcessPool`` salvage and a resumable sweep journal
-(``policy=`` / ``journal=``).  None of these layers changes any
-comparable outcome: cold pool, warm pool, cache hit, resumed journal
-and ``workers=0`` all compare ``==``.
+(``policy=`` / ``journal=``); ``hosts=`` shards the leases over worker
+daemons through :class:`~repro.core.distributed.SweepCoordinator`.
+None of these layers changes any comparable outcome: cold pool, warm
+pool, cache hit, resumed journal, remote hosts and ``workers=0`` all
+compare ``==``.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.core.supervisor import (
 from repro.obs import (
     MetricsSnapshot,
     Observability,
-    PhaseStat,
     TraceConfig,
     TraceEvent,
 )
@@ -85,8 +83,7 @@ class RunOutcome:
     The comparable fields (spec, record, tick stats, metrics, trace)
     are pure functions of the spec, so outcomes from any worker count
     compare equal with ``==``.  ``result`` (the live session graph, only
-    on in-process runs that asked for it) and ``profile`` (wall-clock
-    phase accounting) are excluded from comparison.
+    on in-process runs that asked for it) is excluded from comparison.
     """
 
     spec: RunSpec
@@ -94,7 +91,6 @@ class RunOutcome:
     tick_stats: TickStats
     metrics: MetricsSnapshot
     trace: tuple[TraceEvent, ...] = ()
-    profile: tuple[PhaseStat, ...] = field(default=(), compare=False)
     result: Optional[SessionResult] = field(
         default=None, repr=False, compare=False
     )
@@ -119,7 +115,6 @@ def run_one(
     spec: Union[RunSpec, FleetSpec],
     *,
     tracer: TracerSpec = None,
-    profile: bool = False,
     keep_result: bool = True,
     **build_extras,
 ) -> Union[RunOutcome, FleetOutcome]:
@@ -141,14 +136,13 @@ def run_one(
                 "build extras do not apply to fleet specs: "
                 f"{sorted(build_extras)}"
             )
-        return run_fleet(spec, keep_results=keep_result, profile=profile)
+        return run_fleet(spec, keep_results=keep_result)
     spec = _resolve_tracing(spec, tracer)
     obs = Observability.create(
         spec.tracing,
         service=spec.service_name,
         profile_id=spec.profile_id,
         repetition=spec.repetition,
-        profile=profile,
     )
     session = spec.build(obs=obs, **build_extras)
     result = session.run(spec.duration_s)
@@ -161,7 +155,6 @@ def run_one(
         tick_stats=TickStats.from_session(session),
         metrics=obs.metrics.snapshot(),
         trace=obs.tracer.events(),
-        profile=obs.profiler.snapshot() if obs.profiler is not None else (),
         result=result if keep_result else None,
     )
 
@@ -169,24 +162,15 @@ def run_one(
 def _plan_chunks(
     specs: Sequence[RunSpec],
     workers: int,
-    chunksize: Optional[int],
 ) -> list[list[int]]:
     """Split spec indices into worker chunks, catalogue-locality first.
 
-    With an explicit ``chunksize`` the split is the classic flat one.
-    Otherwise specs are grouped by :func:`catalogue_key` and each group
-    becomes as few chunks as load balancing allows (about two chunks
-    per worker across the whole sweep, never splitting a group that a
-    single worker can own) — so a catalogue is encoded by as few
-    workers as possible, and by each of them at most once.
+    Specs are grouped by :func:`catalogue_key` and each group becomes
+    as few chunks as load balancing allows (about two chunks per worker
+    across the whole sweep, never splitting a group that a single
+    worker can own) — so a catalogue is encoded by as few workers as
+    possible, and by each of them at most once.
     """
-    if chunksize is not None:
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        return [
-            list(range(start, min(start + chunksize, len(specs))))
-            for start in range(0, len(specs), chunksize)
-        ]
     groups: OrderedDict[object, list[int]] = OrderedDict()
     for index, spec in enumerate(specs):
         key = (
@@ -234,9 +218,7 @@ def execute(
     *,
     workers: int = 0,
     tracer: TracerSpec = None,
-    profile: bool = False,
     keep_results: bool = False,
-    chunksize: Optional[int] = None,
     cache: CacheSpec = None,
     policy: Optional[SweepPolicy] = None,
     journal: JournalSpec = None,
@@ -251,11 +233,10 @@ def execute(
     order.  ``tracer`` applies to every spec that does not already
     carry its own ``tracing`` config.
 
-    ``chunksize=None`` (the default) plans worker submission order by
-    catalogue locality so each worker encodes each (service, duration,
-    seed) catalogue at most once; an explicit integer restores flat
-    ordering.  ``cache`` memoises comparable outcomes on disk —
-    ``True`` for the default directory, a path, or an
+    Worker submission follows a catalogue-locality plan, so each worker
+    encodes each (service, duration, seed) catalogue at most once.
+    ``cache`` memoises comparable outcomes on disk — ``True`` for the
+    default directory, a path, or an
     :class:`~repro.core.outcome_cache.OutcomeCache`; only cache misses
     are executed, and hits reconstruct outcomes that compare ``==`` to
     freshly computed ones.
@@ -338,16 +319,16 @@ def execute(
         # daemons; journal resume, cache putback and the determinism
         # contract are unchanged.  Lazy import — distributed.py needs
         # _plan_chunks from this module.
-        from repro.core.distributed import execute_distributed
+        from repro.core.distributed import SweepCoordinator
 
-        dispatched = execute_distributed(
-            [specs[i] for i in pending],
+        coordinator = SweepCoordinator(
             hosts,
             policy=policy,
             journal=sweep_journal,
             local_workers=workers,
-            profile=profile,
-            keys=pending_keys,
+        )
+        dispatched = coordinator.run(
+            [specs[i] for i in pending], keys=pending_keys
         )
         for local_index, outcome in enumerate(dispatched):
             outcomes[pending[local_index]] = outcome
@@ -355,14 +336,14 @@ def execute(
         # The byte-identity oracle path: plain in-process loop.
         for index in pending:
             outcomes[index] = run_one(
-                specs[index], profile=profile, keep_result=keep_results
+                specs[index], keep_result=keep_results
             )
     elif pending:
         pending_specs = [specs[i] for i in pending]
         serial = workers == 0 or len(pending) <= 1
         order = None
         if not serial:
-            chunks = _plan_chunks(pending_specs, workers, chunksize)
+            chunks = _plan_chunks(pending_specs, workers)
             order = [i for chunk in chunks for i in chunk]
         supervisor = SweepSupervisor(
             0 if serial else workers,
@@ -370,7 +351,7 @@ def execute(
             journal=sweep_journal,
         )
         supervised_outcomes = supervisor.run(
-            pending_specs, profile=profile, order=order, keys=pending_keys
+            pending_specs, order=order, keys=pending_keys
         )
         for local_index, outcome in enumerate(supervised_outcomes):
             outcomes[pending[local_index]] = outcome

@@ -16,7 +16,6 @@ identity tests and the benchmark's checks pin the fast engine to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Optional
 
 from repro.analysis.bufferinfer import BufferEstimator
@@ -179,8 +178,6 @@ class Session:
 
     def run(self, duration_s: float) -> SessionResult:
         """Tick the world until ``duration_s`` or the session ends."""
-        if self.obs.profiler is not None:
-            return self._run_profiled(duration_s)
         dt = self.clock.dt
         while self.clock.now < duration_s - 1e-9:
             before = self.network.link.total_bytes_delivered
@@ -193,47 +190,6 @@ class Session:
             if self.player.ended and not self.player.scheduler.busy:
                 break
         return self._finish()
-
-    def _run_profiled(self, duration_s: float) -> SessionResult:
-        """The serial loop with per-phase wall-time accounting.
-
-        A separate method (not timers inside :meth:`run`) so the
-        default loop pays nothing when profiling is off.  Phase times
-        accumulate in local floats and reach the profiler once at the
-        end.
-        """
-        profiler = self.obs.profiler
-        assert profiler is not None
-        dt = self.clock.dt
-        wall = {"network": 0.0, "player": 0.0, "rrc": 0.0}
-        calls = {"network": 0, "player": 0, "rrc": 0}
-        while self.clock.now < duration_s - 1e-9:
-            t0 = perf_counter()
-            before = self.network.link.total_bytes_delivered
-            self.network.advance(dt)
-            radio_active = self.network.link.total_bytes_delivered > before
-            t1 = perf_counter()
-            self.rrc.observe(radio_active, dt)
-            t2 = perf_counter()
-            self.player.advance(dt)
-            t3 = perf_counter()
-            wall["network"] += t1 - t0
-            wall["rrc"] += t2 - t1
-            wall["player"] += t3 - t2
-            calls["network"] += 1
-            calls["rrc"] += 1
-            calls["player"] += 1
-            self.clock.tick()
-            self.ticks_executed += 1
-            if self.player.ended and not self.player.scheduler.busy:
-                break
-        t0 = perf_counter()
-        result = self._finish()
-        wall["finish"] = perf_counter() - t0
-        calls["finish"] = 1
-        for phase, seconds in wall.items():
-            profiler.add(phase, seconds, calls[phase])
-        return result
 
     def _finish(self) -> SessionResult:
         analyzer = TrafficAnalyzer()

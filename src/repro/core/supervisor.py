@@ -482,15 +482,14 @@ def resolve_sweep_journal(
 # ---------------------------------------------------------------------------
 
 
-def _lease_task(args: tuple["RunSpec", bool]):
+def _lease_task(spec: "RunSpec"):
     """Run one lease in a worker: the outcome plus the worker's asset
     cache activity since its initializer baseline (for the per-worker
     encode gauges ``execute`` publishes)."""
     from repro.core.run import run_one
     from repro.media.cache import asset_cache
 
-    spec, profile = args
-    outcome = run_one(spec, profile=profile, keep_result=False)
+    outcome = run_one(spec, keep_result=False)
     misses, hits = asset_cache().since_baseline()
     return outcome, os.getpid(), misses, hits
 
@@ -506,11 +505,40 @@ class _Lease:
     deadline: Optional[float] = None
 
 
+def resume_leases(
+    specs: Sequence["RunSpec"],
+    keys: Optional[Sequence[Optional[str]]],
+    journal: Optional[SweepJournal],
+    outcomes: list,
+) -> list[_Lease]:
+    """Lease every spec, restoring those the journal marks terminal.
+
+    The journal-resume prefix shared by :meth:`SweepSupervisor.run` and
+    the distributed coordinator: each restored outcome lands in its
+    ``outcomes`` slot and counts one ``sweep.resumed_skips``; the
+    returned leases still need running.  ``keys`` are the specs' lease
+    keys when the caller has computed them already.
+    """
+    if keys is None:
+        keys = [lease_key(spec) for spec in specs]
+    pending: list[_Lease] = []
+    for index, (spec, key) in enumerate(zip(specs, keys)):
+        restored = restore_from_journal(journal, spec, key)
+        if restored is None:
+            pending.append(_Lease(index=index, spec=spec, key=key))
+        else:
+            outcomes[index] = restored
+    skipped = len(specs) - len(pending)
+    if skipped:
+        process_registry().counter("sweep.resumed_skips").inc(skipped)
+    return pending
+
+
 class SweepSupervisor:
     """Future-per-task sweep execution with leases, retries and resume.
 
     ``task`` is the module-level callable each lease dispatches
-    (``(spec, profile) -> (payload, pid, encode_misses, encode_hits)``);
+    (``spec -> (payload, pid, encode_misses, encode_hits)``);
     injectable so chaos tests can wrap it with worker-killing or
     hanging behaviour without touching the production path.
     """
@@ -675,7 +703,6 @@ class SweepSupervisor:
         self,
         specs: Sequence["RunSpec"],
         *,
-        profile: bool = False,
         order: Optional[Sequence[int]] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> list:
@@ -687,26 +714,12 @@ class SweepSupervisor:
         when the caller has computed them already.
         """
         outcomes: list = [None] * len(specs)
-        if keys is None:
-            keys = [lease_key(spec) for spec in specs]
-        leases = [
-            _Lease(index=i, spec=spec, key=key)
-            for i, (spec, key) in enumerate(zip(specs, keys))
-        ]
-        pending: list[_Lease] = []
-        for lease in leases:
-            restored = restore_from_journal(
-                self.journal, lease.spec, lease.key
-            )
-            if restored is not None:
-                outcomes[lease.index] = restored
-                self._count("resumed_skips")
-                continue
-            pending.append(lease)
+        pending = resume_leases(specs, keys, self.journal, outcomes)
+        self.stats.resumed_skips += len(specs) - len(pending)
         if not pending:
             return outcomes
         if self.workers <= 0:
-            self._run_serial(pending, outcomes, profile)
+            self._run_serial(pending, outcomes)
         else:
             submit_order = pending
             if order is not None:
@@ -714,13 +727,13 @@ class SweepSupervisor:
                 submit_order = [
                     by_index[i] for i in order if i in by_index
                 ]
-            self._run_pool(submit_order, outcomes, profile)
+            self._run_pool(submit_order, outcomes)
         return outcomes
 
     # -- serial (workers=0, and the degradation target) --------------------
 
     def _run_serial(
-        self, pending: Sequence[_Lease], outcomes: list, profile: bool
+        self, pending: Sequence[_Lease], outcomes: list
     ) -> None:
         def retry(lease: _Lease, delay: float) -> None:
             self.sleep(delay)
@@ -729,7 +742,7 @@ class SweepSupervisor:
             while outcomes[lease.index] is None:
                 started = self.clock()
                 try:
-                    payload = self.task((lease.spec, profile))
+                    payload = self.task(lease.spec)
                 except Exception as exc:  # noqa: BLE001 - policy decides
                     self._handle_failure(
                         lease, "error", exc, outcomes, retry=retry
@@ -742,7 +755,7 @@ class SweepSupervisor:
     # -- pooled ------------------------------------------------------------
 
     def _run_pool(
-        self, submit_order: Sequence[_Lease], outcomes: list, profile: bool
+        self, submit_order: Sequence[_Lease], outcomes: list
     ) -> None:
         from repro.core.pool import worker_pool
 
@@ -793,7 +806,7 @@ class SweepSupervisor:
                 remaining = list(queue) + [entry[2] for entry in delayed]
                 queue.clear()
                 delayed.clear()
-                self._run_serial(remaining, outcomes, profile)
+                self._run_serial(remaining, outcomes)
                 return False
             self._count("pool_respawns")
             pool.respawn()
@@ -809,7 +822,7 @@ class SweepSupervisor:
             while queue and len(active) < self.workers:
                 lease = queue[0]
                 try:
-                    future = pool.submit(self.task, (lease.spec, profile))
+                    future = pool.submit(self.task, lease.spec)
                 except BrokenProcessPool:
                     pool_broke = True
                     break

@@ -1,10 +1,10 @@
 """The assembled observability plane handed to a Session.
 
-One :class:`Observability` bundles the three parts of the plane — trace
-spine, metrics registry, profiler — so instrumented layers take a
-single object instead of three keyword arguments.  The default instance
-is fully disabled (null tracer, throwaway registry, no profiler) and
-costs one attribute read per guarded emission site.
+One :class:`Observability` bundles the two parts of the plane — trace
+spine and metrics registry — so instrumented layers take a single
+object instead of two keyword arguments.  The default instance is
+fully disabled (null tracer, throwaway registry) and costs one
+attribute read per guarded emission site.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import PhaseProfiler
 from repro.obs.trace import NULL_TRACER, TraceConfig, Tracer
 
 
@@ -23,7 +22,6 @@ class Observability:
 
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    profiler: Optional[PhaseProfiler] = None
 
     @classmethod
     def create(
@@ -33,7 +31,6 @@ class Observability:
         service: str = "",
         profile_id: int = 0,
         repetition: int = 0,
-        profile: bool = False,
     ) -> "Observability":
         """Resolve a picklable tracing description into a live plane.
 
@@ -48,7 +45,4 @@ class Observability:
             )
         else:
             tracer = NULL_TRACER
-        return cls(
-            tracer=tracer,
-            profiler=PhaseProfiler() if profile else None,
-        )
+        return cls(tracer=tracer)

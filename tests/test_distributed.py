@@ -127,12 +127,11 @@ def _sever_channel_task(args):
     return _lease_task(args)
 
 
-def _poison_task(args):
+def _poison_task(spec):
     """Fail deterministically on the poison spec."""
-    spec, _ = args
     if spec.profile_id == 9:
         raise RuntimeError("poison spec")
-    return _lease_task(args)
+    return _lease_task(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +235,73 @@ def test_execute_refuses_keep_results_with_hosts():
     with pytest.raises(ValueError, match="keep_results"):
         execute(_specs(profiles=(5,)), hosts=["127.0.0.1:1"],
                 keep_results=True)
+
+
+def test_worker_reuses_the_coordinators_lease_keys(live_workers, monkeypatch):
+    # execute() keys each spec once; the shard message carries those
+    # keys, so the worker daemon never keys a spec again.
+    import repro.core.distributed
+    import repro.core.outcome_cache
+    import repro.core.run
+    import repro.core.supervisor
+
+    baseline = _baseline()
+    original = repro.core.outcome_cache.lease_key
+    callers: list[threading.Thread] = []
+
+    def counting_lease_key(spec):
+        callers.append(threading.current_thread())
+        return original(spec)
+
+    for module in (
+        repro.core.outcome_cache,
+        repro.core.run,
+        repro.core.supervisor,
+        repro.core.distributed,
+    ):
+        if getattr(module, "lease_key", None) is original:
+            monkeypatch.setattr(module, "lease_key", counting_lease_key)
+    (worker,) = live_workers(1)
+    assert execute(_specs(), hosts=[worker.host]) == baseline
+    assert sum(t is threading.current_thread() for t in callers) == 3
+    assert sum(t is worker.thread for t in callers) == 0
+    assert len(callers) == 3
+
+
+def test_shard_whose_keys_do_not_match_its_specs_fails(live_workers):
+    from repro.core.distributed import PROTOCOL_VERSION, _connect, _pack
+    from repro.core.outcome_cache import code_fingerprint
+
+    (worker,) = live_workers(1)
+    channel = _connect(worker.host, timeout=5.0)
+    try:
+        channel.send({
+            "t": "hello",
+            "version": PROTOCOL_VERSION,
+            "session": "s1",
+            "code": code_fingerprint(),
+        })
+        assert channel.recv(timeout=5.0)["t"] == "welcome"
+        specs = _specs(profiles=(5, 9))
+        for shard_id, keys in enumerate(
+            (None, "not-a-list", [lease_key(specs[0])])
+        ):
+            channel.send({
+                "t": "shard",
+                "session": "s1",
+                "id": shard_id,
+                "specs": _pack(specs),
+                "keys": keys,
+                "policy": None,
+            })
+            reply = channel.recv(timeout=30.0)
+            assert reply["t"] == "shard_failed"
+            assert reply["id"] == shard_id
+            assert "keys" in reply["error"]
+    finally:
+        channel.send({"t": "bye", "session": "s1"})
+        channel.close()
+    assert worker.worker.leases_run == 0
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.core.outcome_cache import spec_key
 from repro.core.parallel import (
     RunSpec,
     TickStats,
-    execute_run_spec_with_result,
 )
 from repro.core.run import run_one
 from repro.core.session import Session
@@ -57,15 +56,11 @@ def _assert_identical(serial, event):
 
 
 def _run_pair(spec):
-    record_s, result_s = execute_run_spec_with_result(
-        replace(spec, engine="tick")
-    )
-    record_e, result_e = execute_run_spec_with_result(
-        replace(spec, engine="event")
-    )
-    assert record_e == record_s
-    _assert_identical(result_s, result_e)
-    return result_s, result_e
+    serial = run_one(replace(spec, engine="tick"))
+    event = run_one(replace(spec, engine="event"))
+    assert event.record == serial.record
+    _assert_identical(serial.result, event.result)
+    return serial.result, event.result
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.analysis.faults import (
     SeededTruncation,
 )
 from repro.analysis.serialize import capture_to_json
-from repro.core.parallel import RunSpec, execute_run_spec_with_result
+from repro.core.parallel import RunSpec
+from repro.core.run import run_one
 from tests.support import run_session
 from repro.net.clock import Clock
 from repro.net.faults import (
@@ -296,14 +297,12 @@ def test_grid_invariance_under_faults(name):
             duration_s=45.0,
             faults=GRID_FAULTS,
         )
-        record_s, result_s = execute_run_spec_with_result(
-            replace(spec, engine="tick")
+        serial = run_one(replace(spec, engine="tick"))
+        event = run_one(replace(spec, engine="event"))
+        assert event.record == serial.record, (
+            f"event diverged on profile {profile_id}"
         )
-        record_e, result_e = execute_run_spec_with_result(
-            replace(spec, engine="event")
-        )
-        assert record_e == record_s, f"event diverged on profile {profile_id}"
-        _assert_identical(result_s, result_e)
+        _assert_identical(serial.result, event.result)
 
 
 def test_record_counts_resilience_fields():
@@ -313,7 +312,8 @@ def test_record_counts_resilience_fields():
         duration_s=45.0,
         faults=FaultSpec(reset_times=(5.0, 9.0)),
     )
-    record, result = execute_run_spec_with_result(spec)
+    outcome = run_one(spec)
+    record, result = outcome.record, outcome.result
     failed = result.events.of_type(DownloadFailed)
     assert record.download_failures == len(failed) > 0
     assert record.downloads_given_up == sum(1 for e in failed if e.gave_up)

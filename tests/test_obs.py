@@ -2,8 +2,8 @@
 
 Covers the metrics registry (counters / gauges / histograms with
 labels, snapshot merging), the trace sinks (ring buffer, JSONL) and
-their pickling behaviour, the trace config resolution, the phase
-profiler, and the rendering helpers.
+their pickling behaviour, the trace config resolution, and the
+rendering helpers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs import (
     MetricsSnapshot,
     NULL_TRACER,
     Observability,
-    PhaseProfiler,
     RebufferSpan,
     RingBufferTracer,
     TraceConfig,
@@ -251,32 +250,16 @@ def test_render_timeline_formats_each_kind():
 
 
 # ---------------------------------------------------------------------------
-# Profiler + plane
+# The plane
 # ---------------------------------------------------------------------------
-
-
-def test_phase_profiler_accumulates():
-    profiler = PhaseProfiler()
-    profiler.add("network", 0.5, calls=10)
-    profiler.add("network", 0.25, calls=5)
-    with profiler.time("player"):
-        pass
-    stats = {stat.phase: stat for stat in profiler.snapshot()}
-    assert stats["network"].wall_s == pytest.approx(0.75)
-    assert stats["network"].calls == 15
-    assert stats["player"].calls == 1
-    assert "network" in profiler.render()
 
 
 def test_observability_create_variants(tmp_path):
     disabled = Observability.create(None)
     assert disabled.tracer is NULL_TRACER
-    assert disabled.profiler is None
     ring = Observability.create(True)
     assert isinstance(ring.tracer, RingBufferTracer)
     jsonl = Observability.create(
         TraceConfig(sink="jsonl", path=str(tmp_path / "t.jsonl")),
-        profile=True,
     )
     assert isinstance(jsonl.tracer, JsonlTracer)
-    assert jsonl.profiler is not None

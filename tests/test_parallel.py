@@ -8,13 +8,10 @@ import pytest
 
 from repro.core.experiment import ProfileRun, profile_sweep_specs
 from repro.core.fleet import FleetSpec, run_fleet
-from repro.core.run import execute
+from repro.core.run import execute, run_one
 from repro.core.parallel import (
     RunSpec,
-    SweepRunner,
     default_worker_count,
-    execute_run_spec,
-    parallel_map,
     sweep_grid,
 )
 from repro.core.events import EventDrivenSession
@@ -35,8 +32,8 @@ from repro.util import mbps
 def test_parallel_records_equal_serial_on_grid():
     """The ISSUE's acceptance grid: 3 services x 3 profiles, workers on/off."""
     specs = sweep_grid(["H1", "D2", "S2"], [1, 2, 3], duration_s=40.0)
-    serial = SweepRunner(workers=0).run(specs)
-    parallel = SweepRunner(workers=2).run(specs)
+    serial = [outcome.record for outcome in execute(specs, workers=0)]
+    parallel = [outcome.record for outcome in execute(specs, workers=2)]
     assert serial == parallel
     assert [r.service_name for r in serial] == ["H1"] * 3 + ["D2"] * 3 + ["S2"] * 3
     assert [r.profile_id for r in serial] == [1, 2, 3] * 3
@@ -54,7 +51,7 @@ def test_sweep_grid_order_and_repetitions():
 
 def test_execute_run_spec_is_deterministic():
     spec = RunSpec(service="H4", profile_id=7, duration_s=40.0)
-    assert execute_run_spec(spec) == execute_run_spec(spec)
+    assert run_one(spec).record == run_one(spec).record
 
 
 def test_run_spec_config_overrides_apply():
@@ -65,14 +62,9 @@ def test_run_spec_config_overrides_apply():
         duration_s=60.0,
         config_overrides=(("startup_buffer_s", 2.0),),
     )
-    record_base = execute_run_spec(base)
-    record_tweaked = execute_run_spec(tweaked)
+    record_base = run_one(base).record
+    record_tweaked = run_one(tweaked).record
     assert record_tweaked.true_startup_delay_s < record_base.true_startup_delay_s
-
-
-def test_parallel_map_orders_results():
-    assert parallel_map(len, ["a", "bb", "ccc"], workers=2) == [1, 2, 3]
-    assert parallel_map(len, ["a", "bb"], workers=0) == [1, 2]
 
 
 def test_profile_sweep_parallel_matches_serial():

@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.parallel import RunSpec, catalogue_key, parallel_map, sweep_grid
+from repro.core.parallel import RunSpec, catalogue_key, sweep_grid
 from repro.core.pool import (
     WorkerPool,
     active_worker_pool,
@@ -73,13 +73,19 @@ def _encode_delta(args):
 # ---------------------------------------------------------------------------
 
 
+def _submit_all(pool, fn, items):
+    """Submit each item and collect the results in order."""
+    futures = [pool.submit(fn, item) for item in items]
+    return [future.result(timeout=30) for future in futures]
+
+
 def test_worker_pool_is_reused_across_calls():
     first = worker_pool(2)
     assert worker_pool(2) is first
     assert active_worker_pool() is first
-    assert first.map(_square, [1, 2, 3]) == [1, 4, 9]
-    assert first.map(_square, [4]) == [16]
-    assert first.map_calls == 2
+    assert _submit_all(first, _square, [1, 2, 3]) == [1, 4, 9]
+    assert worker_pool(2) is first
+    assert _submit_all(first, _square, [4]) == [16]
     assert first.tasks_dispatched == 4
 
 
@@ -93,24 +99,27 @@ def test_worker_pool_recreated_on_count_change_and_close():
     assert active_worker_pool() is None
     third = worker_pool(3)
     assert third is not second
-    assert third.map(_square, [5]) == [25]
+    assert third.submit(_square, 5).result(timeout=30) == 25
 
 
 def test_closed_pool_refuses_map_and_close_is_idempotent():
+    # Submission is the pool's one dispatch path; a closed pool
+    # refuses it, and closing twice is harmless.
     pool = WorkerPool(1)
     pool.close()
     pool.close()
     with pytest.raises(RuntimeError, match="closed"):
-        pool.map(_square, [1])
+        pool.submit(_square, 1)
+    assert pool.tasks_dispatched == 0
 
 
 def test_pool_survives_worker_side_exception():
     pool = worker_pool(2)
     with pytest.raises(RuntimeError, match="worker task failed"):
-        pool.map(_boom, [1, 2])
+        _submit_all(pool, _boom, [1, 2])
     assert not pool.closed
-    # The same pool object keeps serving maps and full sweeps.
-    assert pool.map(_square, [3]) == [9]
+    # The same pool object keeps serving tasks and full sweeps.
+    assert _submit_all(pool, _square, [3]) == [9]
     outcomes = execute(_grid(services=("H1",), profiles=(2,)) * 2, workers=2)
     assert outcomes[0] == outcomes[1]
     assert worker_pool(2) is pool
@@ -130,9 +139,9 @@ def test_warm_keys_pre_encode_catalogues_in_workers():
     pool = WorkerPool(1, warm_keys=(warm,))
     try:
         # The initializer already paid the encode: the task sees a hit.
-        assert pool.map(_encode_delta, [warm]) == [0]
+        assert _submit_all(pool, _encode_delta, [warm]) == [0]
         # An un-warmed catalogue still costs that worker one encode.
-        assert pool.map(_encode_delta, [("H1", 23.0, 7708)]) == [1]
+        assert _submit_all(pool, _encode_delta, [("H1", 23.0, 7708)]) == [1]
     finally:
         pool.close()
 
@@ -144,9 +153,6 @@ def test_warm_keys_pre_encode_catalogues_in_workers():
 
 class _BrokenAtSubmitExecutor:
     """Stub executor whose every dispatch reports a dead pool."""
-
-    def map(self, fn, items, chunksize=1):
-        raise BrokenProcessPool("stub: pool is dead")
 
     def submit(self, fn, item):
         raise BrokenProcessPool("stub: pool is dead")
@@ -187,18 +193,26 @@ def test_note_task_failure_counts_in_process_registry():
     assert process_registry().counter("pool.tasks_failed").value == before + 2
 
 
-def test_map_that_dies_at_submission_reports_zero_dispatches():
-    # The counter-skew fix: tasks are counted only once actually handed
-    # to the executor, so a map that breaks at submit time must not
-    # report the full batch as dispatched.
+def test_submit_that_dies_at_submission_reports_zero_dispatches():
+    # Tasks are counted only once actually handed to the executor, so
+    # a submit that breaks at submission time reports no dispatch.
     pool = WorkerPool(1)
     pool._executor.shutdown(wait=True, cancel_futures=True)
     pool._executor = _BrokenAtSubmitExecutor()
-    with pytest.raises(BrokenProcessPool):
-        pool.map(_square, [1, 2, 3])
+    before = process_registry().counter("pool.tasks_dispatched").value
+    for item in (1, 2, 3):
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(_square, item)
     assert pool.tasks_dispatched == 0
-    assert pool.map_calls == 1
-    assert pool.closed  # a broken pool is discarded
+    assert process_registry().counter("pool.tasks_dispatched").value == before
+    # The pool object stays open: the supervisor revives it in place.
+    assert not pool.closed
+    pool.respawn()
+    try:
+        assert pool.submit(_square, 4).result(timeout=30) == 16
+        assert pool.tasks_dispatched == 1
+    finally:
+        pool.close()
 
 
 def test_respawn_revives_pool_after_worker_death():
@@ -263,14 +277,6 @@ def test_execute_after_close_recreates_pool_with_same_outcomes():
     assert first == second
 
 
-def test_parallel_map_reuse_pool_flag():
-    assert parallel_map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-    pool = active_worker_pool()
-    assert pool is not None
-    assert parallel_map(_square, [4, 5], workers=2, reuse_pool=False) == [16, 25]
-    assert active_worker_pool() is pool  # one-shot path left it alone
-
-
 # ---------------------------------------------------------------------------
 # Locality-aware chunk planning
 # ---------------------------------------------------------------------------
@@ -297,7 +303,7 @@ def test_plan_chunks_keeps_catalogues_together():
     from repro.core.run import _plan_chunks
 
     specs = sweep_grid(["H1", "S1", "D2"], range(1, 8), duration_s=DURATION_S)
-    chunks = _plan_chunks(specs, workers=2, chunksize=None)
+    chunks = _plan_chunks(specs, workers=2)
     # Every chunk is catalogue-pure and the cover is an exact partition.
     seen = []
     for chunk in chunks:
@@ -307,16 +313,6 @@ def test_plan_chunks_keeps_catalogues_together():
     assert sorted(seen) == list(range(len(specs)))
     # Small groups stay whole: one chunk per catalogue here.
     assert len(chunks) == 3
-
-
-def test_plan_chunks_explicit_chunksize_is_flat():
-    from repro.core.run import _plan_chunks
-
-    specs = sweep_grid(["H1", "S1"], range(1, 4), duration_s=DURATION_S)
-    chunks = _plan_chunks(specs, workers=2, chunksize=4)
-    assert chunks == [[0, 1, 2, 3], [4, 5]]
-    with pytest.raises(ValueError, match="chunksize"):
-        _plan_chunks(specs, workers=2, chunksize=0)
 
 
 def test_execute_records_worker_encode_gauges():

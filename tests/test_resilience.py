@@ -12,7 +12,8 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.faults import ErrorBurst, FaultSpec, SeededErrors
-from repro.core.parallel import RunSpec, execute_run_spec_with_result
+from repro.core.parallel import RunSpec
+from repro.core.run import run_one
 from repro.blackbox.resilience import (
     run_resilience_sweep,
     standard_fault_scenarios,
@@ -274,7 +275,7 @@ def test_fixed_long_retry_stalls_longer_than_backoff():
             service="H5", profile_id=9, duration_s=60.0,
             config_overrides=(("retry_policy", policy),), faults=storm,
         )
-        return execute_run_spec_with_result(spec)[1]
+        return run_one(spec).result
 
     fixed_storm = storm_run(fixed_policy)
     backoff_storm = storm_run(backoff_policy)

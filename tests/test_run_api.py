@@ -22,8 +22,6 @@ from repro.core.experiment import (
 )
 from repro.core.parallel import (
     RunSpec,
-    SweepRunner,
-    execute_run_spec,
     record_from_result,
 )
 from repro.core.run import RunOutcome, execute, run_one
@@ -71,14 +69,6 @@ def test_run_one_returns_full_outcome():
     assert outcome.tick_stats.ticks_executed > 0
 
 
-def test_run_one_profile_collects_phase_stats():
-    # Only the tick loop splits its time into phases.
-    outcome = run_one(_spec(engine="tick"), profile=True, keep_result=False)
-    phases = {stat.phase for stat in outcome.profile}
-    assert {"network", "player", "rrc"} <= phases
-    assert all(stat.wall_s >= 0.0 for stat in outcome.profile)
-
-
 def test_schedule_beats_profile_id():
     spec = _spec(schedule=ConstantSchedule(mbps(4.0)))
     assert spec.resolved_schedule() == ConstantSchedule(mbps(4.0))
@@ -90,13 +80,10 @@ def test_schedule_beats_profile_id():
 
 
 def test_execute_matches_legacy_sweep_runner():
+    # A serial sweep is exactly one run_one per spec, in spec order.
     specs = [_spec(), _spec(service="S1")]
     outcomes = execute(specs, workers=0)
-    legacy = SweepRunner(workers=0).run(specs)
-    assert [outcome.record for outcome in outcomes] == legacy
-    assert [outcome.record for outcome in outcomes] == [
-        execute_run_spec(spec) for spec in specs
-    ]
+    assert outcomes == [run_one(spec, keep_result=False) for spec in specs]
 
 
 def test_execute_validates_arguments():
@@ -123,12 +110,38 @@ def test_shims_are_gone():
     import repro
     import repro.core
     import repro.core.experiment
+    import repro.core.parallel
     import repro.core.session
+    import repro.obs
+    from repro.core.pool import WorkerPool
 
     for module in (repro, repro.core, repro.core.session):
         assert not hasattr(module, "run_session")
     for module in (repro, repro.core, repro.core.experiment):
         assert not hasattr(module, "run_service_over_profiles")
+    # The legacy runners and the in-program profiler: execute/run_one
+    # are the only way to run specs, and no option brings them back.
+    legacy = (
+        "SweepRunner",
+        "parallel_map",
+        "execute_run_spec",
+        "execute_run_spec_with_result",
+        "execute_run_spec_with_stats",
+        "execute_distributed",
+        "PhaseProfiler",
+        "PhaseStat",
+    )
+    for module in (repro, repro.core, repro.core.parallel, repro.obs):
+        for name in legacy:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(WorkerPool, "map")
+    for call in (
+        lambda: execute([_spec()], profile=True),
+        lambda: execute([_spec()], chunksize=4),
+        lambda: run_one(_spec(), profile=True),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_support_run_session_matches_run_one():

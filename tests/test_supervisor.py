@@ -79,19 +79,17 @@ def _baseline(profiles=(1, 5, 9)):
 # ---------------------------------------------------------------------------
 
 
-def _logged_lease_task(args):
+def _logged_lease_task(spec):
     """The real lease task, with an append-only call log so tests can
     bound how much work a recovery actually re-ran."""
-    spec, _ = args
     base = os.environ[_ENV_DIR]
     with open(os.path.join(base, "calls.log"), "a") as handle:
         handle.write(f"{spec.service_name}:{spec.profile_id}\n")
-    return _lease_task(args)
+    return _lease_task(spec)
 
 
-def _kill_once_task(args):
+def _kill_once_task(spec):
     """SIGKILL this worker the first time the poison spec arrives."""
-    spec, _ = args
     base = os.environ[_ENV_DIR]
     with open(os.path.join(base, "calls.log"), "a") as handle:
         handle.write(f"{spec.service_name}:{spec.profile_id}\n")
@@ -100,22 +98,20 @@ def _kill_once_task(args):
         with open(marker, "w"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return _lease_task(args)
+    return _lease_task(spec)
 
 
-def _hang_task(args):
+def _hang_task(spec):
     """Hang forever on the poison spec (until the supervisor's respawn
     terminates this worker); run everything else normally."""
-    spec, _ = args
     if spec.profile_id == 9:
         time.sleep(600)
-    return _lease_task(args)
+    return _lease_task(spec)
 
 
-def _die_in_workers_task(args):
+def _die_in_workers_task(spec):
     """Kill every worker immediately; succeed only in the parent — the
     degradation path's happy ending."""
-    spec, _ = args
     if os.getpid() != int(os.environ[_ENV_PARENT]):
         os.kill(os.getpid(), signal.SIGKILL)
     return (("serial-ok", spec.profile_id), os.getpid(), 0, 0)
@@ -167,8 +163,7 @@ def test_backoff_is_seeded_and_capped():
 def test_flaky_lease_retries_then_succeeds():
     attempts = []
 
-    def flaky(args):
-        spec, _ = args
+    def flaky(spec):
         attempts.append(spec.profile_id)
         if len(attempts) < 3:
             raise RuntimeError("transient")
@@ -186,8 +181,7 @@ def test_flaky_lease_retries_then_succeeds():
 
 
 def test_poison_lease_quarantines_without_sinking_the_sweep():
-    def poisoned(args):
-        spec, _ = args
+    def poisoned(spec):
         if spec.profile_id == 5:
             raise RuntimeError("always broken")
         return (("ok", spec.profile_id), os.getpid(), 0, 0)

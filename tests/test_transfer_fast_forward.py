@@ -20,9 +20,8 @@ from repro.analysis.serialize import capture_to_json
 from repro.core.parallel import (
     RunSpec,
     TickStats,
-    execute_run_spec_with_result,
-    execute_run_spec_with_stats,
 )
+from repro.core.run import run_one
 from repro.core.events import EventDrivenSession
 from repro.core.session import Session
 from tests.support import run_session
@@ -62,14 +61,10 @@ def test_grid_invariance_serial_vs_fast_forward(name):
     """Byte-identical serialized output for every profile in the sample."""
     for profile_id in GRID_PROFILES:
         spec = RunSpec(service=name, profile_id=profile_id, duration_s=DURATION_S)
-        record_s, result_s = execute_run_spec_with_result(
-            replace(spec, engine="tick")
-        )
-        record_f, result_f = execute_run_spec_with_result(
-            replace(spec, engine="event")
-        )
-        assert record_f == record_s, f"profile {profile_id}"
-        _assert_identical(result_s, result_f)
+        serial = run_one(replace(spec, engine="tick"))
+        jumped = run_one(replace(spec, engine="event"))
+        assert jumped.record == serial.record, f"profile {profile_id}"
+        _assert_identical(serial.result, jumped.result)
 
 
 # Thirty alternating steps, 1.3 s apart and off the 0.1-s tick grid:
@@ -100,8 +95,10 @@ def test_invariance_on_step_schedule_mid_transfer(name):
 
 def test_tick_stats_consistency_and_addition():
     spec = RunSpec(service="H4", profile_id=5, duration_s=DURATION_S)
-    record_s, stats_s = execute_run_spec_with_stats(replace(spec, engine="tick"))
-    record_f, stats_f = execute_run_spec_with_stats(replace(spec, engine="event"))
+    serial = run_one(replace(spec, engine="tick"), keep_result=False)
+    jumped = run_one(replace(spec, engine="event"), keep_result=False)
+    record_s, stats_s = serial.record, serial.tick_stats
+    record_f, stats_f = jumped.record, jumped.tick_stats
     assert record_f == record_s  # stats ride outside the record
     assert stats_s.idle_fast_forwarded_ticks == 0
     assert stats_s.transfer_fast_forwarded_ticks == 0
