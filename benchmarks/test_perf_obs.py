@@ -1,16 +1,18 @@
-"""Observability overhead: the trace spine must be free when disabled.
+"""Observability overhead: what an enabled trace spine costs.
 
-Runs a sample of the grid two ways — tracer disabled (the default) and
-tracer enabled (unbounded ring buffer) — and writes the wall-clock
-delta to ``benchmarks/BENCH_obs.json``.  The acceptance bar: the
-disabled path costs <= 5% over the pre-obs baseline, which here means
-the disabled runs *are* the baseline and the enabled runs are compared
-against them.
+Runs a sample of the grid with the tracer disabled (the default) and
+enabled (unbounded ring buffer), in ``PAIRS`` alternating pairs (the
+order flips every pair, so host drift lands on both modes alike), and
+writes each pair's traced/disabled wall ratio, the median overhead and
+its quartiles to ``benchmarks/BENCH_obs.json``.  The disabled runs are
+the baseline: this measures what enabling the tracer costs over the
+default path, not what the disabled spine costs over code without one.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -23,18 +25,15 @@ from benchmarks.conftest import bench_env, once
 
 GRID_DURATION_S = 45.0
 GRID_PROFILES = (2, 5, 9, 13)
+PAIRS = 7
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
 
 
-def _timed(specs, *, tracer=None, repeats=3):
-    """Best-of-N wall time for one sweep configuration (warm cache)."""
-    best = float("inf")
-    outcomes = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        outcomes = execute(specs, workers=0, tracer=tracer)
-        best = min(best, time.perf_counter() - start)
-    return outcomes, best
+def _timed(specs, *, tracer=None):
+    """One sweep's outcomes and wall time (warm encode cache)."""
+    start = time.perf_counter()
+    outcomes = execute(specs, workers=0, tracer=tracer)
+    return outcomes, time.perf_counter() - start
 
 
 def test_perf_obs_overhead(benchmark, show):
@@ -47,10 +46,27 @@ def test_perf_obs_overhead(benchmark, show):
         # Warm the encode cache outside the timed region.
         execute(grid, workers=0)
 
-        disabled, disabled_wall = _timed(grid)
-        traced, traced_wall = _timed(grid, tracer=True)
+        disabled_walls, traced_walls, identical, events = [], [], True, 0
+        for pair in range(PAIRS):
+            modes = [None, True] if pair % 2 == 0 else [True, None]
+            walls = {}
+            records = {}
+            for tracer in modes:
+                outcomes, walls[tracer] = _timed(grid, tracer=tracer)
+                records[tracer] = [outcome.record for outcome in outcomes]
+                if tracer:
+                    events = sum(len(outcome.trace) for outcome in outcomes)
+            disabled_walls.append(walls[None])
+            traced_walls.append(walls[True])
+            identical = identical and records[None] == records[True]
 
-        events = sum(len(outcome.trace) for outcome in traced)
+        overheads = [
+            traced / disabled - 1.0
+            for disabled, traced in zip(disabled_walls, traced_walls)
+        ]
+        q1, median, q3 = statistics.quantiles(
+            overheads, n=4, method="inclusive"
+        )
         return {
             "grid": {
                 "services": len(ALL_SERVICE_NAMES),
@@ -58,16 +74,16 @@ def test_perf_obs_overhead(benchmark, show):
                 "runs": len(grid),
                 "duration_s": GRID_DURATION_S,
             },
-            "disabled": {"wall_s": disabled_wall},
+            "pairs": PAIRS,
+            "disabled": {"wall_s": disabled_walls},
             "traced": {
-                "wall_s": traced_wall,
-                "overhead_vs_disabled": traced_wall / disabled_wall - 1.0,
+                "wall_s": traced_walls,
+                "pair_overheads": overheads,
+                "overhead_vs_disabled": median,
+                "overhead_quartiles": [q1, q3],
                 "events": events,
             },
-            "records_identical": (
-                [outcome.record for outcome in disabled]
-                == [outcome.record for outcome in traced]
-            ),
+            "records_identical": identical,
             "env": bench_env(),
         }
 
@@ -75,21 +91,25 @@ def test_perf_obs_overhead(benchmark, show):
 
     BASELINE_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
 
+    traced = results["traced"]
+    q1, q3 = traced["overhead_quartiles"]
     show(
-        "Observability overhead (grid sample, best-of-3 wall s)",
-        ["mode", "wall s", "overhead"],
+        f"Observability overhead (grid sample, {PAIRS} alternating pairs)",
+        ["mode", "median wall s", "overhead (median, quartiles)"],
         [
-            ["disabled", f"{results['disabled']['wall_s']:.2f}", "baseline"],
+            ["disabled",
+             f"{statistics.median(results['disabled']['wall_s']):.2f}",
+             "baseline"],
             ["traced",
-             f"{results['traced']['wall_s']:.2f}",
-             f"{results['traced']['overhead_vs_disabled']:+.1%}"],
+             f"{statistics.median(traced['wall_s']):.2f}",
+             f"{traced['overhead_vs_disabled']:+.1%} "
+             f"({q1:+.1%} .. {q3:+.1%})"],
         ],
     )
 
     # Tracing must never change simulation output.
     assert results["records_identical"]
-    assert results["traced"]["events"] > 0
+    assert traced["events"] > 0
     # Enabled tracing is allowed real cost, but it must stay moderate on
-    # this grid; the disabled path is the baseline by construction, so
-    # the <= 5% acceptance bar translates into the enabled bound here.
-    assert results["traced"]["overhead_vs_disabled"] < 0.5
+    # this grid.
+    assert traced["overhead_vs_disabled"] < 0.5

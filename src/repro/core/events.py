@@ -13,12 +13,13 @@ Byte-identity is non-negotiable (the tick engine stays the oracle), and
 it pins the design:
 
 * The serial loop accumulates floats per tick (``pos += dt``,
-  ``delivered_bytes += rate * dt / 8``, ``round(t + dt, 9)``), so a
-  closed-form jump would land on different ulps.  Batched windows are
-  therefore *replayed* through the proven per-tick primitives —
+  ``delivered_bytes += rate * dt / 8``, and the clock's rounded step),
+  so a closed-form jump would land on different ulps.  Batched windows
+  are therefore *replayed* through the proven per-tick primitives —
   ``Network.advance_many`` (the download micro-loop) and
   ``Player.apply_noop_ticks`` — which execute the identical arithmetic
-  without any per-tick *decision* logic.
+  without any per-tick *decision* logic, reading tick instants from
+  the clock's shared timeline (``net/clock.py``).
 * Event instants are executed as one full serial tick through exactly
   the oracle's code path, so everything observable (completions, state
   transitions, trace spans, QoE) is produced by the same code in both

@@ -40,6 +40,7 @@ from repro.net.traces import (
     CellularTrace,
     profile_schedule,
     profile_trace,
+    trace_schedule,
 )
 from repro.obs import Observability, TraceConfig
 from repro.player.config import PlayerConfig
@@ -129,7 +130,7 @@ class RunSpec:
         if self.schedule is not None:
             return self.schedule
         if self.trace is not None:
-            return self.trace.as_schedule()
+            return trace_schedule(self.trace)
         return profile_schedule(*self._profile_args())
 
     def build(

@@ -225,7 +225,10 @@ class Network:
         control state mutated while planning that tick is restored, so
         the serial tick re-runs it identically).  Fault change points
         clamp the window, so dead air neither starts nor stops inside
-        it.
+        it.  Tick start times are read from the clock's timeline, and
+        only on the ticks that use them.  One busy connection runs the
+        single-flow kernel (:meth:`_advance_one_flow`), any other busy
+        set the water-fill walk (:meth:`_advance_flows`).
 
         Returns ``(ticks_executed, per_tick_radio_activity, reason)``
         where ``reason`` names why the loop returned (one of
@@ -236,8 +239,6 @@ class Network:
         — the caller replays clock/RRC/player effects.
         """
         check_positive("dt", dt)
-        link = self.link
-        schedule = self.schedule
         t = self.clock.now
         clamp_reason = ADVANCE_HORIZON
         dead_air = False
@@ -256,33 +257,163 @@ class Network:
                     max_ticks = clamp
                     clamp_reason = ADVANCE_FAULT
             dead_air = self.faults.dead_air_at(t)
-        # The tick index at which the schedule is read next: the first
-        # tick reads it, and every later read happens on the tick whose
-        # start reaches a change point, as a fresh call there would.
+        # No transfer starts or ends inside a window, so the busy set is
+        # fixed for the call (a handshake that completes without a
+        # transfer leaves a connection whose steps stay no-ops).
+        connections = [c for c in self.connections if c.busy]
+        if len(connections) == 1 and connections[0].transfer is not None:
+            executed, activity, capacity, completing = self._advance_one_flow(
+                connections[0], max_ticks, dt, dead_air
+            )
+        else:
+            executed, activity, capacity, completing = self._advance_flows(
+                connections, max_ticks, dt, dead_air
+            )
+        if completing:
+            clamp_reason = ADVANCE_COMPLETION
+        if executed and self.schedule is not None:
+            # The serial loop asserts the schedule's capacity every tick;
+            # leave the link as the last executed tick left it.  Under
+            # dead air the serial tick restores the schedule capacity
+            # afterwards, so mirror that by asserting the un-faulted
+            # value.
+            self.link.set_capacity(capacity)
+        return executed, activity, clamp_reason
+
+    def _advance_one_flow(
+        self, connection: TcpConnection, max_ticks: int, dt: float,
+        dead_air: bool,
+    ) -> tuple[int, list[bool], float, bool]:
+        """The single-flow kernel: :meth:`_advance_flows` for one busy
+        connection with a transfer, on local variables.
+
+        The water-fill collapses to the min with tolerance that
+        ``BottleneckLink.advance`` uses for one connection.  The
+        transfer's ``delivered_bytes`` and ``first_byte_at``, the
+        connection's ``total_bytes_received`` and ``cwnd_bytes`` and the
+        link's ``total_bytes_delivered`` live in locals and are written
+        back once, on every exit; the float operations and their order
+        are the walk's.  A tick that starts in handshake or request
+        latency runs ``advance_control`` and ``rate_cap_bps`` on the
+        connection itself: nothing was delivered in the window before
+        it, so the object and the locals still agree.
+        """
+        link = self.link
+        schedule = self.schedule
+        clock = self.clock
+        transfer = connection.transfer
+        total = transfer.total_bytes
+        done_at = total - 1e-6
+        delivered_bytes = transfer.delivered_bytes
+        first_byte_at = transfer.first_byte_at
+        received = connection.total_bytes_received
+        cwnd = connection.cwnd_bytes
+        max_cwnd = connection.max_cwnd_bytes
+        rtt = connection.rtt_s
+        link_total = link.total_bytes_delivered
+        pending = not connection.in_steady_transfer
         step_at = 0 if schedule is not None else max_ticks
         read_at = -1
         base_capacity = previous = link.capacity_bps
         capacity = 0.0 if dead_air else base_capacity
-        # No transfer starts or ends inside a window, so the busy set is
-        # fixed for the call (a handshake that completes without a
-        # transfer leaves a connection whose steps stay no-ops).  Only
-        # connections not yet in steady transfer have countdowns to run,
-        # save and restore; the steady ones' control steps are no-ops.
-        connections = [c for c in self.connections if c.busy]
-        pending = [c for c in connections if not c.in_steady_transfer]
         executed = 0
         activity: list[bool] = []
+        append = activity.append
+        completing = False
         while executed < max_ticks:
             if executed == step_at:
                 read_at, previous = executed, base_capacity
-                base_capacity = schedule.bandwidth_at(t)
-                capacity = 0.0 if dead_air else base_capacity
-                change_at = schedule.next_change_at(t)
-                step_at = (
-                    executed + int((change_at - t - 1e-9) / dt) + 1
-                    if change_at != math.inf
-                    else max_ticks
+                base_capacity, step_at = _read_schedule(
+                    schedule, clock.ahead(executed), executed, dt, max_ticks
                 )
+                capacity = 0.0 if dead_air else base_capacity
+            if pending:
+                saved = (
+                    connection.state,
+                    connection._handshake_remaining_s,
+                    connection._request_latency_remaining_s,
+                )
+                connection.advance_control(dt)
+                demand = connection.rate_cap_bps()
+            else:
+                demand = cwnd * 8.0 / rtt
+            if demand <= 0 or capacity <= 1e-12:
+                rate_bps = 0.0
+            elif demand <= capacity + 1e-12:
+                rate_bps = demand
+            else:
+                rate_bps = capacity
+            num_bytes = rate_bps * dt / 8.0
+            if num_bytes <= 0:
+                append(False)
+            else:
+                # ``min(a, b)`` is ``b if b < a else a``; spelled out,
+                # it skips a builtin call per tick.
+                remaining = total - delivered_bytes
+                delivered = remaining if remaining < num_bytes else num_bytes
+                if delivered_bytes + delivered >= done_at:
+                    if pending:
+                        (
+                            connection.state,
+                            connection._handshake_remaining_s,
+                            connection._request_latency_remaining_s,
+                        ) = saved
+                    if read_at == executed:
+                        base_capacity = previous  # no tick ran at this rate
+                    completing = True
+                    break
+                if first_byte_at is None:
+                    first_byte_at = clock.ahead(executed)
+                delivered_bytes += delivered
+                before = received
+                received = before + delivered
+                grown = cwnd + delivered
+                cwnd = max_cwnd if max_cwnd < grown else grown
+                before_link = link_total
+                link_total += received - before
+                append(link_total > before_link)
+            executed += 1
+            if pending:
+                pending = not connection.in_steady_transfer
+        transfer.delivered_bytes = delivered_bytes
+        transfer.first_byte_at = first_byte_at
+        connection.total_bytes_received = received
+        connection.cwnd_bytes = cwnd
+        link.total_bytes_delivered = link_total
+        return executed, activity, base_capacity, completing
+
+    def _advance_flows(
+        self, connections: list[TcpConnection], max_ticks: int, dt: float,
+        dead_air: bool,
+    ) -> tuple[int, list[bool], float, bool]:
+        """:meth:`advance_many`'s walk over any busy set, water-filling
+        every tick: windows with two or more busy connections (fleet
+        cells, parallel-connection services).
+
+        Returns the ticks executed, their radio activity, the capacity
+        of the last executed tick and whether a completion stopped it.
+        """
+        link = self.link
+        schedule = self.schedule
+        clock = self.clock
+        # Only connections not yet in steady transfer have countdowns to
+        # run, save and restore; the steady ones' control steps are
+        # no-ops.
+        pending = [c for c in connections if not c.in_steady_transfer]
+        step_at = 0 if schedule is not None else max_ticks
+        read_at = -1
+        base_capacity = previous = link.capacity_bps
+        capacity = 0.0 if dead_air else base_capacity
+        executed = 0
+        activity: list[bool] = []
+        completing = False
+        while executed < max_ticks:
+            if executed == step_at:
+                read_at, previous = executed, base_capacity
+                base_capacity, step_at = _read_schedule(
+                    schedule, clock.ahead(executed), executed, dt, max_ticks
+                )
+                capacity = 0.0 if dead_air else base_capacity
             if pending:
                 saved = [
                     (
@@ -295,22 +426,10 @@ class Network:
                 ]
                 for connection in pending:
                     connection.advance_control(dt)
-            if len(connections) == 1:
-                # Mirror of the single-connection fast path in
-                # BottleneckLink.advance.
-                demand = connections[0].rate_cap_bps()
-                if demand <= 0 or capacity <= 1e-12:
-                    allocations: tuple[float, ...] | list[float] = (0.0,)
-                elif demand <= capacity + 1e-12:
-                    allocations = (demand,)
-                else:
-                    allocations = (capacity,)
-            else:
-                demands = [c.rate_cap_bps() for c in connections]
-                allocations = allocate(capacity, demands)
+            demands = [c.rate_cap_bps() for c in connections]
+            allocations = allocate(capacity, demands)
             # Plan the tick; commit only if no transfer would complete.
             plan = []
-            completing = False
             for connection, rate_bps in zip(connections, allocations):
                 num_bytes = rate_bps * dt / 8.0
                 if num_bytes <= 0:
@@ -335,12 +454,11 @@ class Network:
                         connection._request_latency_remaining_s = latency
                 if read_at == executed:
                     base_capacity = previous  # no tick ran at this rate
-                clamp_reason = ADVANCE_COMPLETION
                 break
             before_link = link.total_bytes_delivered
             for connection, transfer, delivered in plan:
                 if transfer.first_byte_at is None:
-                    transfer.first_byte_at = t
+                    transfer.first_byte_at = clock.ahead(executed)
                 transfer.delivered_bytes += delivered
                 before = connection.total_bytes_received
                 connection.total_bytes_received = before + delivered
@@ -351,15 +469,21 @@ class Network:
                     connection.total_bytes_received - before
                 )
             activity.append(link.total_bytes_delivered > before_link)
-            t = round(t + dt, 9)
             executed += 1
             if pending:
                 pending = [c for c in pending if not c.in_steady_transfer]
-        if executed and schedule is not None:
-            # The serial loop asserts the schedule's capacity every tick;
-            # leave the link as the last executed tick left it.  Under
-            # dead air the serial tick restores the schedule capacity
-            # afterwards, so mirror that by asserting the un-faulted
-            # value.
-            link.set_capacity(base_capacity)
-        return executed, activity, clamp_reason
+        return executed, activity, base_capacity, completing
+
+
+def _read_schedule(
+    schedule: BandwidthSchedule, t: float, executed: int, dt: float,
+    max_ticks: int,
+) -> tuple[float, int]:
+    """The capacity of tick ``executed``, which starts at ``t``, and the
+    tick whose start reaches the schedule's next change point: what a
+    fresh :meth:`Network.advance_many` call at ``t`` reads."""
+    capacity = schedule.bandwidth_at(t)
+    change_at = schedule.next_change_at(t)
+    if change_at == math.inf:
+        return capacity, max_ticks
+    return capacity, executed + int((change_at - t - 1e-9) / dt) + 1

@@ -173,6 +173,18 @@ def profile_schedule(
     return profile_trace(profile_id, duration_s, seed).as_schedule()
 
 
+@lru_cache(maxsize=TRACE_MEMO_SIZE, typed=True)
+def trace_schedule(trace: CellularTrace) -> TraceSchedule:
+    """``trace.as_schedule()``, memoised on the trace's value.
+
+    A spec that carries an explicit trace resolves its bandwidth
+    through here for its key and for its build, so each lease builds
+    one schedule.  The spec itself caches nothing, so its pickle does
+    not grow.
+    """
+    return trace.as_schedule()
+
+
 def cellular_profiles(
     duration_s: int = DEFAULT_DURATION_S, seed: int = TRACE_SEED
 ) -> list[CellularTrace]:

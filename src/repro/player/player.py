@@ -618,13 +618,14 @@ class Player:
         position leaves the covering video segment emits
         ``SegmentPlayStarted`` at its start time, and each tick's UI
         samples are emitted against that tick's pre-advance clock value,
-        exactly as the per-tick path would.  Played segments are
-        released once, at the end: a released segment never covers a
-        later position, so the coverage answers do not depend on when.
+        exactly as the per-tick path would.  The start times are read
+        from the clock's timeline (``dt`` is the clock's step).  Played
+        segments are released once, at the end: a released segment
+        never covers a later position, so the coverage answers do not
+        depend on when.
         """
         if count <= 0:
             return
-        t = self.clock.now
         pos = self._play_pos
         next_ui = self._next_ui_at
         samples = self.ui_samples
@@ -632,7 +633,7 @@ class Player:
         if advancing:
             video = self.buffers[StreamType.VIDEO]
             cover_end = video.cover_end(pos)
-        for _ in range(count):
+        for t in self.clock.starts(count):
             if advancing:
                 pos += dt
                 if pos >= cover_end:
@@ -641,7 +642,6 @@ class Player:
             while t + _EPS >= next_ui:
                 samples.append(ProgressSample(at=next_ui, position_s=pos))
                 next_ui += 1.0
-            t = round(t + dt, 9)
         self._next_ui_at = next_ui
         if advancing:
             self._play_pos = pos

@@ -1,6 +1,7 @@
 """Unit tests for the network substrate: schedules, TCP, link, HTTP."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from repro.net import (
     HttpMethod,
     HttpRequest,
     HttpStatus,
+    LatencySpikeWindow,
     Network,
     ResponsePlan,
     StepSchedule,
@@ -1116,6 +1118,202 @@ class TestCapacitySteps:
             twins.append((clock, network))
         _assert_one_call_equals_the_chain(
             _advance_many_clamped, twins[0], twins[1], chunks)
+
+
+# The phase the one busy connection is in when the window starts.
+ONE_FLOW_PHASES = ("handshaking", "latency", "cwnd_limited",
+                   "capacity_limited", "cwnd_cap")
+ONE_FLOW_RATES = {
+    "cwnd_limited": (mbps(20), mbps(40), mbps(80)),
+    "cwnd_cap": (mbps(20), mbps(40), mbps(80)),
+    "capacity_limited": (mbps(0.3), mbps(1), mbps(2)),
+}
+ALL_RATES = (mbps(0.3), mbps(2), mbps(6), mbps(40))
+HUGE_BYTES = 50_000_000
+
+
+def _one_flow_network(case, size_bytes):
+    """A network whose only busy connection is in ``case.phase``.
+
+    A closed and an idle connection sit beside it.  The schedule
+    (``case.schedule``, built from the window's start time) and the dead
+    air take effect when the window starts.  In the handshaking and
+    latency phases the request is issued at that start, under a latency
+    spike of ``case.extra_s``.
+    """
+    clock = Clock(dt=0.1)
+    network = Network(clock, _PathSizedServer(), ConstantSchedule(mbps(6)),
+                      rtt_s=case.rtt_s)
+
+    def request(connection):
+        network.request(connection, HttpRequest(url=f"/{size_bytes}"),
+                        lambda response: None)
+
+    def tick():
+        network.advance(clock.dt)
+        clock.tick()
+
+    network.new_connection("closed")
+    idle = network.new_connection("idle")
+    network.request(idle, HttpRequest(url="/3000"), lambda response: None)
+    while idle.transfer is not None:
+        tick()
+    if case.phase == "latency":
+        flow = idle  # established: only the request latency is left
+    else:
+        flow = network.new_connection("flow")
+    if case.phase not in ("handshaking", "latency"):
+        request(flow)
+        while not flow.in_steady_transfer:
+            tick()
+        for _ in range(case.warmup):
+            tick()
+    if case.phase == "cwnd_cap":
+        # Slow start reaches the cap a few ticks into the window.
+        flow.max_cwnd_bytes = int(flow.cwnd_bytes) + case.cwnd_headroom
+    now = clock.now
+    dead_air = {
+        None: (),
+        "ahead": (DeadAirWindow(now + 0.25, now + 0.75),),
+        "now": (DeadAirWindow(now - 0.05, now + 0.35),),
+    }[case.dead_air]
+    network.faults = TransportFaultPlane(
+        dead_air=dead_air,
+        latency_spikes=(LatencySpikeWindow(0.0, now + 1.0, case.extra_s),),
+    )
+    if case.phase in ("handshaking", "latency"):
+        request(flow)
+    network.schedule = case.schedule(now)
+    assert [c for c in network.connections if c.busy] == [flow]
+    if case.phase == "handshaking":
+        assert flow.state is TcpConnectionState.CONNECTING
+    elif case.phase == "latency":
+        assert flow._request_latency_remaining_s > case.extra_s
+    else:
+        assert flow.in_steady_transfer
+    return clock, network, flow
+
+
+def _size_completing_at(case, tick):
+    """A body size whose transfer completes on window tick ``tick`` (or
+    the first later tick that delivers enough), or a huge one that does
+    not complete within the window.  A probe with a huge body replays
+    the window serially: a body's size changes nothing before its last
+    tick."""
+    if tick is None:
+        return HUGE_BYTES
+    clock, network, flow = _one_flow_network(case, HUGE_BYTES)
+    transfer = flow.transfer
+    last = transfer.delivered_bytes
+    for k in range(tick + 40):
+        network.advance(clock.dt)
+        clock.tick()
+        reached = transfer.delivered_bytes
+        total = math.floor(reached)
+        if k >= tick and total > last + 1e-6:
+            size = total - network.header_overhead_bytes
+            if size >= 1:
+                return size
+        last = reached
+    return HUGE_BYTES
+
+
+@st.composite
+def one_flow_cases(draw):
+    phase = draw(st.sampled_from(ONE_FLOW_PHASES), label="phase")
+    kind = draw(st.sampled_from(("constant", "step", "trace")), label="kind")
+    window = draw(st.integers(2 if kind == "step" else 1, 60), label="window")
+    rate = st.sampled_from(ONE_FLOW_RATES.get(phase, ALL_RATES))
+    if kind == "constant":
+        rates = [draw(rate, label="rate")]
+
+        def schedule(now):
+            return ConstantSchedule(rates[0])
+    elif kind == "step":
+        # 1-5 change points inside the window, on tick starts (where the
+        # clamp's 1e-9 margin decides) or between them.
+        offsets = sorted(draw(st.lists(
+            st.integers(1, window - 1), min_size=1,
+            max_size=min(5, window - 1), unique=True,
+        ), label="offsets"))
+        rates = draw(st.lists(rate, min_size=len(offsets) + 1,
+                              max_size=len(offsets) + 1), label="rates")
+        shift = draw(st.sampled_from([0.0, 0.5]), label="shift")
+
+        def schedule(now):
+            starts = [now + (k + shift) * 0.1 for k in offsets]
+            return StepSchedule(steps=tuple(zip([0.0] + starts, rates)))
+    else:
+        rates = draw(st.lists(rate, min_size=2, max_size=6), label="rates")
+        interval = draw(st.sampled_from([0.3, 1.0]), label="interval")
+
+        def schedule(now):
+            return TraceSchedule.from_samples(rates, interval)
+    return SimpleNamespace(
+        phase=phase,
+        window=window,
+        schedule=schedule,
+        rtt_s=draw(st.sampled_from([0.05, 0.12, 0.25]), label="rtt_s"),
+        extra_s=draw(st.sampled_from([0.0, 0.08, 0.35]), label="extra_s"),
+        cwnd_headroom=draw(st.integers(1, 200_000), label="cwnd_headroom"),
+        warmup=draw(st.integers(0, 4), label="warmup"),
+        dead_air=draw(st.sampled_from([None, None, "ahead", "now"]),
+                      label="dead_air"),
+        completes_at=draw(st.one_of(st.none(), st.integers(0, 2),
+                                    st.integers(3, 40)), label="completes_at"),
+    )
+
+
+class TestSingleFlowKernel:
+    """With one busy connection ``advance_many`` runs the single-flow
+    kernel.  In every phase that connection can start a window in, each
+    call equals the walk that stopped at every change point, chained as
+    the engines drove it: ticks, activity, stop reason, clock and every
+    connection, transfer and link total, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=one_flow_cases(),
+           chunks=st.lists(st.integers(1, 30), max_size=4))
+    def test_one_call_equals_the_clamped_chain(self, case, chunks):
+        size_bytes = _size_completing_at(case, case.completes_at)
+        twins = [_one_flow_network(case, size_bytes)[:2] for _ in range(2)]
+        _assert_one_call_equals_the_chain(
+            _advance_many_clamped, twins[0], twins[1],
+            [case.window] + chunks)
+
+    @pytest.mark.parametrize("phase", ONE_FLOW_PHASES)
+    @pytest.mark.parametrize("completes_at", [0, 1, 7])
+    def test_completion_stops_before_the_drawn_tick(self, phase,
+                                                    completes_at):
+        """The size probe lands the completion where it was asked, so
+        the property above covers stops at tick 0, tick 1 and later."""
+        case = SimpleNamespace(
+            phase=phase, window=60, schedule=lambda now: ConstantSchedule(
+                ONE_FLOW_RATES.get(phase, ALL_RATES)[1]),
+            rtt_s=0.05, extra_s=0.0, cwnd_headroom=30_000, warmup=0,
+            dead_air=None, completes_at=completes_at,
+        )
+        clock, network, flow = _one_flow_network(
+            case, _size_completing_at(case, completes_at))
+        executed, _, reason = network.advance_many(60, 0.1)
+        assert reason == ADVANCE_COMPLETION
+        # A handshake shorter than a tick leaves the request latency for
+        # tick 1; a latency that short ends (and delivers) on tick 0.
+        first = 1 if phase == "handshaking" else 0
+        assert executed == max(completes_at, first)
+
+    def test_cwnd_reaches_its_cap_inside_a_window(self):
+        case = SimpleNamespace(
+            phase="cwnd_cap", window=60,
+            schedule=lambda now: ConstantSchedule(mbps(80)), rtt_s=0.05,
+            extra_s=0.0, cwnd_headroom=200_000, warmup=0, dead_air=None,
+            completes_at=None,
+        )
+        clock, network, flow = _one_flow_network(case, HUGE_BYTES)
+        assert flow.cwnd_bytes < flow.max_cwnd_bytes
+        executed, _, reason = network.advance_many(60, 0.1)
+        assert (executed, reason) == (60, ADVANCE_HORIZON)
+        assert flow.cwnd_bytes == flow.max_cwnd_bytes
 
 
 class TestHttpTypes:

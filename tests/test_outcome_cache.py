@@ -30,7 +30,7 @@ from repro.core.outcome_cache import (
 )
 from repro.core.parallel import RunSpec, sweep_grid
 from repro.core.run import execute, run_one
-from repro.net.schedule import StepSchedule
+from repro.net.schedule import StepSchedule, TraceSchedule
 from repro.net.traces import TRACE_SEED, generate_trace
 from repro.obs import TraceConfig
 from repro.obs.metrics import process_registry
@@ -201,6 +201,29 @@ def test_keys_and_builds_share_one_generated_trace(monkeypatch):
     assert memo.profile_schedule(9, 21, TRACE_SEED + 1) is (
         spec.resolved_schedule()
     )
+
+
+def test_explicit_trace_lease_builds_one_schedule(tmp_path, monkeypatch):
+    """One cold lease of an explicit-trace spec builds one
+    ``TraceSchedule``: its cache key and its build share it, and the
+    spec's pickle does not grow."""
+    trace = generate_trace(9, 22, TRACE_SEED + 2)
+    built = []
+    post_init = TraceSchedule.__post_init__
+
+    def counted(self):
+        if self.samples_bps == trace.samples_bps:
+            built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TraceSchedule, "__post_init__", counted)
+    spec = _spec(duration_s=22.0, trace=trace)
+    size = len(pickle.dumps(spec))
+    cache = OutcomeCache(tmp_path)
+    execute([spec], workers=0, cache=cache)
+    assert cache.misses == 1
+    assert len(built) == 1
+    assert len(pickle.dumps(spec)) == size
 
 
 def test_code_fingerprint_is_cached_and_short():

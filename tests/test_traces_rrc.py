@@ -5,7 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.clock import Clock
+from repro.net.clock import CHUNK_TICKS, Clock, tick_chunk
 from repro.net.rrc import RrcConfig, RrcMachine, RrcState
 from repro.net.traces import (
     PROFILE_COUNT,
@@ -283,15 +283,49 @@ class TestRunLengthReplay:
         now=st.one_of(st.floats(0.0, 1e5), st.sampled_from(
             (0.0, 0.30000000000000004, 12.345678901, 599.9, 1e-10))),
         dt=st.sampled_from((0.05, 0.1, 0.2, 1.0 / 3.0, 0.123456789)),
-        ticks=st.integers(0, 400),
+        at_chunk_end=st.booleans(),
+        pieces=st.lists(st.one_of(
+            st.integers(0, 8),
+            st.integers(CHUNK_TICKS - 2, CHUNK_TICKS + 2),
+            st.integers(0, 3 * CHUNK_TICKS),
+        ), max_size=5),
     )
-    def test_clock_advance_equals_ticks(self, now, dt, ticks):
-        oracle = now
+    def test_clock_advance_equals_ticks(self, now, dt, at_chunk_end, pieces):
+        """Every instant the clock reports — after ``advance``, ahead of
+        it, or as a window's tick starts — is the one n rounded steps
+        reach, across timeline chunk boundaries and from a clock started
+        on a chunk's last instant."""
+        if at_chunk_end:
+            now = tick_chunk(dt, now)[-1]
+        ticks = sum(pieces)
+        oracle = [now]
         for _ in range(ticks):
-            oracle = round(oracle + dt, 9)
+            oracle.append(round(oracle[-1] + dt, 9))
         stepped = Clock(dt=dt, now=now)
         for _ in range(ticks):
             stepped.tick()
         jumped = Clock(dt=dt, now=now)
-        assert _bits(jumped.advance(ticks)) == _bits(oracle)
-        assert _bits(jumped.now) == _bits(stepped.now) == _bits(oracle)
+        done = 0
+        for piece in pieces:
+            window = oracle[done:done + piece]
+            assert [_bits(t) for t in jumped.starts(piece)] == [
+                _bits(t) for t in window]
+            assert _bits(jumped.ahead(piece)) == _bits(oracle[done + piece])
+            assert _bits(jumped.advance(piece)) == _bits(oracle[done + piece])
+            done += piece
+        assert _bits(jumped.now) == _bits(stepped.now) == _bits(oracle[-1])
+
+    def test_clock_advance_rejects_a_negative_count(self):
+        clock = Clock(dt=0.1, now=2.5)
+        with pytest.raises(ValueError):
+            clock.advance(-3)
+        assert clock.now == 2.5
+
+    def test_a_clock_set_from_outside_restarts_its_timeline(self):
+        clock = Clock(dt=0.1)
+        clock.advance(CHUNK_TICKS + 7)
+        clock.now = 7.3
+        oracle = 7.3
+        for _ in range(CHUNK_TICKS + 5):
+            oracle = round(oracle + 0.1, 9)
+        assert _bits(clock.advance(CHUNK_TICKS + 5)) == _bits(oracle)
