@@ -102,8 +102,6 @@ def main() -> None:
             coordinator = SweepCoordinator(
                 [victim_addr, survivor_addr],
                 journal=SweepJournal(root),
-                # Flush every line: the killer keys off journal growth.
-                journal_flush_every=1,
                 io_timeout_s=60.0,
             )
             outcomes = coordinator.run(grid)

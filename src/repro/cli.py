@@ -40,8 +40,10 @@ timeout, retry and poison-quarantine policy, and a ``sweep
 supervisor:`` summary line reports what supervision did (also merged
 into ``--metrics-json`` output as ``sweep.*`` counters).  With
 ``--hosts H1:P1,spool:PATH,...`` the sweep is sharded across ``repro
-worker`` daemons and a ``sweep dispatch:`` line reports shards sent,
-worker deaths and re-dispatched leases (``dispatch.*`` counters).
+worker`` daemons.  When leases went to workers (daemons or
+``--workers N`` local ones) a ``sweep dispatch:`` line reports shards
+sent, worker deaths and re-dispatched leases (``dispatch.*``
+counters).
 
 Every command executes through the unified run API
 (:mod:`repro.core.run`): a command builds :class:`RunSpec`s and hands
@@ -207,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "filesystem spool directory instead of a "
                                 "socket")
     worker_parser.add_argument("--workers", type=int, default=0,
-                               help="local pool size per shard "
-                                    "(0 = in-process serial)")
+                               help="local workers to run each shard on "
+                                    "(0 = in this process)")
     worker_parser.add_argument("--label", default=None,
                                help="host label in coordinator journals "
                                     "and metrics (default: hostname:pid)")
@@ -642,8 +644,11 @@ def _cmd_cache(args) -> int:
 
 def _cmd_worker(args) -> int:
     import logging
+    import signal
+    from types import SimpleNamespace
 
     from repro.core.distributed import SweepWorker
+    from repro.core.pool import close_worker_pool
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     if args.workers < 0:
@@ -652,36 +657,28 @@ def _cmd_worker(args) -> int:
     # Non-interactive shells start background jobs with SIGINT ignored,
     # so scripts (and CI) stop daemons with plain `kill`: drain
     # gracefully on SIGTERM just like Ctrl-C.
-    import signal
-
     signal.signal(signal.SIGTERM, lambda *_: worker.stop())
     try:
         if args.listen:
             host, _, port = args.listen.rpartition(":")
             if not host or not port.isdigit():
                 raise SystemExit("--listen expects HOST:PORT")
-            import threading
-
-            ready = threading.Event()
-            serve = threading.Thread(
-                target=worker.serve_socket,
-                args=(host, int(port)),
-                kwargs={"ready": ready},
-            )
-            serve.start()
             # The bound address line is machine-parsed (CI, scripts):
             # with port 0 it is the only way to learn the real port.
-            ready.wait()
-            bound = worker.address
-            print(f"worker {worker.label} listening on "
-                  f"{bound[0]}:{bound[1]}", flush=True)
-            serve.join()
+            # Served from this thread, which is the only one: a worker
+            # with --workers N forks its local workers from it.
+            bound = SimpleNamespace(set=lambda: print(
+                f"worker {worker.label} listening on "
+                f"{worker.address[0]}:{worker.address[1]}", flush=True))
+            worker.serve_socket(host, int(port), ready=bound)
         else:
             print(f"worker {worker.label} watching spool {args.spool}",
                   flush=True)
             worker.serve_spool(args.spool)
     except KeyboardInterrupt:
         worker.stop()
+    finally:
+        close_worker_pool()
     print(f"worker {worker.label} served {worker.shards_run} shard(s), "
           f"{worker.leases_run} lease(s)")
     return 0

@@ -1,45 +1,32 @@
-"""Distributed sweep fabric: coordinator/worker sharding across hosts.
+"""The sweep fabric's wire: channels, the handshake and the worker.
 
-PR 8 made sweeps crash-safe on one machine: idempotent leases keyed by
-the canonical RunSpec SHA-256, a fsync'd :class:`SweepJournal`, and a
-supervisor that retries, quarantines and resumes.  This module is the
-multi-host half the ROADMAP asked for — the same leases, sharded:
+The sweep loop (:class:`~repro.core.supervisor.SweepCoordinator`, also
+importable from here) talks to every worker the same way, whether it is
+a forked local worker (:mod:`repro.core.pool`) or a ``repro worker``
+daemon on another host:
 
-* :class:`SweepCoordinator` partitions a sweep's leases into
-  **locality-aware shards** (catalogue-pure, through the same
-  ``_plan_chunks`` logic ``execute`` uses for pool workers, so each
-  worker *host* encodes each catalogue at most once) and dispatches
-  them to workers over a pluggable transport;
-* :class:`SweepWorker` is the per-host daemon (``repro worker``).  It
-  runs each shard through the existing
-  :class:`~repro.core.supervisor.SweepSupervisor` — per-spec timeouts,
-  seeded-backoff retries, poison quarantine and pool respawn all apply
-  *per host* — and streams terminal lease entries plus
-  content-addressed outcome payloads back as they complete;
-* the coordinator merges the stream into one
-  :class:`~repro.core.supervisor.SweepJournal` (group-commit batched),
-  so a killed coordinator *or* worker resumes from the union of
-  everything any host finished.
+* the sender says hello with the protocol version, a session token and
+  the code fingerprint; a worker running different simulator code
+  refuses the session rather than contribute outcomes the fingerprint
+  says are incomparable;
+* a ``shard`` message carries catalogue-pure leases (pickled specs and
+  the lease keys the sender computed) and the policy's timeout;
+* :class:`SweepWorker` runs each lease once and streams back ``lease``
+  messages, ``done`` with the outcome's cache-entry bytes (a plain
+  pickle for a lease without a key) or ``failed`` with a typed kind,
+  then ``shard_done``.  Retries, quarantine, timeouts and
+  re-dispatch are the loop's business, not the worker's.
 
 Transports:
 
 * ``HOST:PORT`` — a length-prefixed JSON socket protocol (payloads ride
   as base64 pickle fields).  The worker listens with
-  ``repro worker --listen HOST:PORT``.
+  ``repro worker --listen HOST:PORT``; a local worker speaks the same
+  frames over one end of a ``socket.socketpair()``.
 * ``spool:PATH`` — a shared-filesystem spool for cluster setups without
   open ports: both sides exchange the same JSON messages as atomically
   renamed, sequence-numbered files under ``PATH/c2w`` and ``PATH/w2c``.
   The worker watches with ``repro worker --spool PATH``.
-
-Failure semantics: a dead or unreachable worker (connection refused,
-EOF after a SIGKILL, transport silence past ``io_timeout_s``) gets its
-unfinished shard leases re-dispatched to the survivors — the lease key
-makes re-runs idempotent, so at-least-once dispatch is safe.  A
-coordinator with zero reachable workers degrades to the local
-supervisor path (slow beats dead, again).  The handshake pins the code
-fingerprint: a worker running different simulator code refuses the
-session rather than contribute outcomes the fingerprint says are
-incomparable.
 
 Determinism contract, extended one level up: distribution changes
 *where* a lease executes — never what it produces.  ``workers=0``
@@ -62,32 +49,26 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro.core.outcome_cache import OutcomeCache, code_fingerprint
 from repro.core.supervisor import (
     LeaseResult,
-    SweepJournal,
+    SweepCoordinator,
     SweepPolicy,
-    SweepSupervisor,
-    _Lease,
     _lease_task,
-    resume_leases,
 )
-from repro.obs.metrics import process_registry
-
-if TYPE_CHECKING:  # circular at runtime: run.py dispatches to this module
-    from repro.core.parallel import RunSpec
 
 log = logging.getLogger("repro.dispatch")
 
 #: Bump when the message schema changes incompatibly; the handshake
 #: refuses a version mismatch before any work is exchanged.  Version 2:
-#: a shard carries its leases' keys beside its specs.
-PROTOCOL_VERSION = 2
+#: a shard carries its leases' keys beside its specs.  Version 3: a
+#: worker runs each lease once and reports ``done`` or ``failed``; the
+#: shard carries the timeout instead of the whole policy, and a lease
+#: without a key may travel as a plain pickle.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame/file; anything larger is a protocol error
 #: (a lease payload is a compact comparable outcome, not a session graph).
@@ -131,7 +112,8 @@ def _unpack_raw(data: str) -> bytes:
 
 
 class SocketChannel:
-    """Length-prefixed JSON frames over one TCP connection.
+    """Length-prefixed JSON frames over one stream socket: a TCP
+    connection to a daemon, or a local worker's socket pair.
 
     Frame = 4-byte big-endian payload length + UTF-8 JSON object.
     ``recv`` returns ``None`` on timeout and raises
@@ -140,6 +122,11 @@ class SocketChannel:
     """
 
     def __init__(self, sock: socket.socket):
+        if sock.family != socket.AF_UNIX:
+            # Each send is one whole frame, and the loop waits for a
+            # shard's last frame: Nagle would hold it back until the
+            # peer's delayed ACK of the one before (~40 ms on Linux).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._lock = threading.Lock()
 
@@ -193,6 +180,9 @@ class SocketChannel:
             return json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"malformed frame: {exc}") from exc
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:
@@ -320,18 +310,67 @@ def _connect(host: HostSpec, *, timeout: float) -> object:
     return channel
 
 
+def handshake(channel, session: str, *, timeout: float, host: str) -> dict:
+    """Say hello on a fresh channel; the worker's welcome.
+
+    Raises :class:`HandshakeRejected` when the worker refuses (protocol
+    or code fingerprint mismatch) and :class:`TransportError` on any
+    other failure, closing the channel first.
+    """
+    try:
+        channel.send({
+            "t": "hello",
+            "version": PROTOCOL_VERSION,
+            "session": session,
+            "code": code_fingerprint(),
+        })
+        reply = channel.recv(timeout=timeout)
+    except TransportError:
+        channel.close()
+        raise
+    if reply is None:
+        channel.close()
+        raise TransportError(f"{host}: no handshake reply")
+    if reply.get("t") == "reject":
+        channel.close()
+        raise HandshakeRejected(f"{host}: {reply.get('reason', 'rejected')}")
+    if reply.get("t") != "welcome" or reply.get("session") != session:
+        channel.close()
+        raise TransportError(f"{host}: bad handshake reply {reply}")
+    return reply
+
+
 # ---------------------------------------------------------------------------
-# The worker daemon
+# The worker
 # ---------------------------------------------------------------------------
+
+
+def _failed(kind: str, exc: BaseException) -> dict:
+    """A failed lease's fields: its kind, its message and, when it
+    pickles, the exception itself."""
+    fields = {
+        "status": "failed",
+        "kind": kind,
+        "message": f"{type(exc).__name__}: {exc}",
+    }
+    try:
+        fields["error"] = _pack(exc)
+    except Exception:  # noqa: BLE001 - the message still travels
+        pass
+    return fields
 
 
 class SweepWorker:
-    """One host's shard executor: supervise locally, stream back.
+    """One host's lease runner: run each lease once, stream the result.
 
-    ``workers`` is the size of this host's pool (0 = run leases in
-    process, serially — the supervisor's oracle path).  ``task`` is
-    injectable exactly like the supervisor's, so chaos tests can wrap
-    lease execution without touching the transport.
+    The sweep loop that sent a shard decides what a failure means; the
+    worker only reports it.  ``workers`` > 0 runs each shard through
+    that same loop over as many forked local workers, with a
+    one-attempt policy that carries the sender's timeout (it quarantines
+    instead of raising, so every failure is streamed back typed); 0 runs
+    the leases here, in shard order.  ``task`` is injectable exactly
+    like the loop's, so chaos tests can wrap lease execution without
+    touching the transport.
     """
 
     def __init__(
@@ -399,71 +438,98 @@ class SweepWorker:
         })
         return msg["session"]
 
-    def _run_shard(self, channel, session: str, msg: dict) -> None:
-        """Execute one shard under local supervision, streaming leases.
+    def _done(self, spec, key: Optional[str], outcome) -> dict:
+        """A done lease's payload: its cache-entry bytes when it has a
+        key, else a plain pickle."""
+        if key is not None:
+            try:
+                return {"entry": _pack_raw(
+                    self._codec.encode_entry(spec, outcome, key=key)
+                )}
+            except Exception:  # noqa: BLE001 - not an outcome (test payloads)
+                pass
+        return {"pickle": _pack(outcome)}
 
-        The shard's lease keys come from the coordinator, which already
+    def _run_here(self, specs, keys, send) -> None:
+        for index, (spec, key) in enumerate(zip(specs, keys)):
+            started = time.monotonic()
+            try:
+                outcome, pid, misses, hits = self.task(spec)
+            except Exception as exc:  # noqa: BLE001 - the sender decides
+                send(index, _failed("error", exc))
+                continue
+            send(index, {
+                "status": "done",
+                "duration": time.monotonic() - started,
+                "pid": pid,
+                "misses": misses,
+                "hits": hits,
+                **self._done(spec, key, outcome),
+            })
+
+    def _run_on_local_workers(self, specs, keys, timeout_s, send) -> None:
+        def stream(result: LeaseResult) -> None:
+            if result.status != "done":
+                send(result.index, {
+                    "status": "failed",
+                    "kind": result.kind,
+                    "message": result.message,
+                })
+                return
+            spec = specs[result.index]
+            payload = (
+                {"entry": _pack_raw(result.entry)}
+                if result.entry is not None
+                else self._done(spec, result.key, result.outcome)
+            )
+            send(result.index, {
+                "status": "done",
+                "duration": result.duration_s,
+                "pid": result.pid,
+                **payload,
+            })
+
+        SweepCoordinator(
+            policy=SweepPolicy(
+                timeout_s=timeout_s, quarantine=True, lease_death_limit=1
+            ),
+            local_workers=self.workers,
+            task=self.task,
+            on_terminal=stream,
+        ).run(specs, keys=keys)
+
+    def _run_shard(self, channel, session: str, msg: dict) -> None:
+        """Run one shard, streaming each lease's result as it lands.
+
+        The shard's lease keys come from the sender, which already
         computed them; the worker never keys a spec itself.
         """
         specs = _unpack(msg["specs"])
         keys = msg.get("keys")
-        policy = _unpack(msg["policy"]) if msg.get("policy") else None
         shard_id = msg["id"]
 
-        def stream(result: LeaseResult) -> None:
-            payload: dict = {
+        def send(index: int, fields: dict) -> None:
+            channel.send({
                 "t": "lease",
                 "session": session,
                 "shard": shard_id,
-                "index": result.index,
-                "key": result.key,
-                "status": result.status,
-                "attempts": result.attempts,
-                "duration": result.duration_s,
-                "pid": os.getpid(),
-            }
-            if result.kind:
-                payload["kind"] = result.kind
-            if result.message:
-                payload["message"] = result.message
-            outcome = result.outcome
-            spec = specs[result.index]
-            if result.status == "done" and result.key is not None:
-                try:
-                    payload["entry"] = _pack_raw(
-                        self._codec.encode_entry(
-                            spec, outcome, key=result.key
-                        )
-                    )
-                except Exception:
-                    # Injected test payloads (bare tuples) and other
-                    # non-outcome objects fall back to plain pickle.
-                    payload["pickle"] = _pack(outcome)
-            else:
-                payload["pickle"] = _pack(outcome)
-            channel.send(payload)
+                "index": index,
+                **fields,
+            })
             self.leases_run += 1
 
-        supervisor = SweepSupervisor(
-            self.workers,
-            policy=policy,
-            journal=None,  # the coordinator owns the journal
-            task=self.task,
-            on_terminal=stream,
-        )
-        order = None
-        if self.workers > 0 and len(specs) > 1:
-            from repro.core.run import _plan_chunks
-
-            chunks = _plan_chunks(specs, self.workers)
-            order = [i for chunk in chunks for i in chunk]
         try:
             if not isinstance(keys, list) or len(keys) != len(specs):
                 raise ValueError(
                     f"shard keys do not match its {len(specs)} spec(s)"
                 )
-            supervisor.run(specs, order=order, keys=keys)
-        except Exception as exc:  # noqa: BLE001 - forwarded to coordinator
+            if self.workers > 0:
+                self._run_on_local_workers(
+                    specs, keys, msg.get("timeout_s"), send
+                )
+            else:
+                self._run_here(specs, keys, send)
+        except Exception as exc:  # noqa: BLE001 - forwarded to the sender
             log.error("worker %s: shard %s failed: %s",
                       self.label, shard_id, exc)
             channel.send({
@@ -474,41 +540,31 @@ class SweepWorker:
             })
             return
         self.shards_run += 1
-        channel.send({
-            "t": "shard_done",
-            "session": session,
-            "id": shard_id,
-            "stats": vars(supervisor.stats),
-        })
+        channel.send({"t": "shard_done", "session": session, "id": shard_id})
 
-    def handle_channel(self, channel) -> bool:
-        """Serve one coordinator conversation; False = shutdown asked."""
+    def handle_channel(self, channel) -> None:
+        """Serve one sender's conversation until it hangs up."""
         session: Optional[str] = None
         self.active_channel = channel
         while not self._stop.is_set():
             try:
                 msg = channel.recv(timeout=1.0)
             except TransportError:
-                return True  # coordinator went away; serve the next one
+                return  # the sender went away; serve the next one
             if msg is None:
                 continue
             kind = msg.get("t")
             if kind == "hello":
                 session = self._welcome_or_reject(channel, msg)
                 if session is None:
-                    return True
+                    return
                 continue
             if session is None or msg.get("session") != session:
-                continue  # stale message from a previous coordinator
+                continue  # stale message from a previous sender
             if kind == "shard":
                 self._run_shard(channel, session, msg)
-            elif kind == "ping":
-                channel.send({"t": "pong", "session": session})
             elif kind == "bye":
-                return True
-            elif kind == "shutdown":
-                return False
-        return True
+                return
 
     # -- serving loops -----------------------------------------------------
 
@@ -519,11 +575,10 @@ class SweepWorker:
         *,
         ready: Optional[threading.Event] = None,
     ) -> None:
-        """Accept coordinator connections until shutdown or stop().
+        """Accept coordinator connections until stop().
 
         ``port=0`` binds an ephemeral port; the bound address is
-        published on ``self.address`` (and the CLI prints it) before
-        ``ready`` is set.
+        published on ``self.address`` before ``ready`` is set.
         """
         server = socket.create_server((host, port), reuse_port=False)
         server.settimeout(0.2)
@@ -539,404 +594,119 @@ class SweepWorker:
                 conn.settimeout(None)
                 channel = SocketChannel(conn)
                 try:
-                    keep_serving = self.handle_channel(channel)
+                    self.handle_channel(channel)
                 except TransportError:
                     # A send failed mid-shard (connection severed): this
                     # conversation is over, the daemon is not.
-                    keep_serving = True
+                    pass
                 finally:
                     channel.close()
-                if not keep_serving:
-                    return
         finally:
             server.close()
 
     def serve_spool(self, root: Union[str, Path]) -> None:
-        """Watch a spool directory until shutdown or stop()."""
+        """Watch a spool directory until stop()."""
         channel = SpoolChannel(root, side="worker")
         while not self._stop.is_set():
             try:
-                if not self.handle_channel(channel):
-                    return
+                self.handle_channel(channel)
             except TransportError:
                 continue
 
 
 # ---------------------------------------------------------------------------
-# The coordinator
+# The sweep loop's view of a worker
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DispatchStats:
-    """What distribution did during one sweep (mirrored to ``dispatch.*``)."""
+class Lane:
+    """One worker as the sweep loop sees it: a daemon (``remote``) or a
+    forked local worker, its identity from the welcome, and the shard it
+    is running."""
 
-    shards: int = 0
-    leases_sent: int = 0
-    leases_completed: int = 0
-    worker_deaths: int = 0
-    redispatched_leases: int = 0
-    hosts_unreachable: int = 0
-    local_fallback_leases: int = 0
-
-
-@dataclass
-class _Shard:
-    id: int
-    leases: list[_Lease] = field(default_factory=list)
-
-
-class _Remote:
-    """One connected worker host, as the coordinator sees it."""
-
-    def __init__(self, host: HostSpec, channel, welcome: dict):
-        self.host = host
+    def __init__(self, channel, welcome: dict, session: str, *, remote: bool):
         self.channel = channel
-        self.label = welcome.get("label", host)
+        self.session = session
+        self.remote = remote
+        self.polled = isinstance(channel, SpoolChannel)  # no socket
+        self.label = welcome.get("label")
         self.pid = welcome.get("pid")
         self.workers = welcome.get("workers", 0)
+        self.shard = None  # the shard in flight, if any
+        self.open: set[int] = set()  # its positions with no result yet
+        self.next = 0  # the position a local worker is running
+        self.started = 0.0  # when that lease started
+        self.heard = 0.0  # when the lane last spoke
 
+    def fileno(self) -> int:
+        return self.channel.fileno()
 
-class SweepCoordinator:
-    """Shard a sweep's leases over worker hosts and merge the streams.
+    def start(self, shard, now: float) -> None:
+        self.shard = shard
+        self.open = set(range(len(shard.leases)))
+        self.next = 0
+        self.started = self.heard = now
 
-    The multi-host mirror of :class:`~repro.core.supervisor.SweepSupervisor`
-    one level up: hosts play the role of pool workers, shards the role
-    of chunks, and the journal is the merge point.  ``policy`` travels
-    to every worker (supervision is per-host); ``journal`` stays here
-    (one writer, group-commit batched).  ``local_workers`` sets the
-    pool size of the degraded local path taken when no host is
-    reachable or survivors die mid-sweep.
-    """
+    def current(self):
+        """The lease a local worker is running (it runs a shard in
+        order), or None."""
+        if self.shard is None or self.next not in self.open:
+            return None
+        return self.shard.leases[self.next]
 
-    def __init__(
-        self,
-        hosts: Sequence[HostSpec],
-        *,
-        policy: Optional[SweepPolicy] = None,
-        journal: Optional[SweepJournal] = None,
-        local_workers: int = 0,
-        connect_timeout_s: float = 5.0,
-        io_timeout_s: float = 600.0,
-        journal_flush_every: int = 64,
-        task: Callable = _lease_task,
-    ):
-        if not hosts:
-            raise ValueError("hosts must name at least one worker")
-        self.hosts = list(hosts)
-        self.policy = policy
-        self.journal = journal
-        self.local_workers = local_workers
-        self.connect_timeout_s = connect_timeout_s
-        self.io_timeout_s = io_timeout_s
-        self.journal_flush_every = journal_flush_every
-        self.task = task
-        self.stats = DispatchStats()
-        self.remotes: list[_Remote] = []
-        self._session = base64.b16encode(os.urandom(8)).decode("ascii")
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._queue: deque[_Shard] = deque()
-        self._inflight = 0  # shards currently owned by a worker thread
-        self._next_shard_id = 0
-        self._failure: Optional[str] = None
-        self._codec = OutcomeCache(Path(os.devnull))  # decode when no journal
+    def unfinished(self) -> list:
+        """Take the shard off the lane; the leases it did not report."""
+        shard, self.shard = self.shard, None
+        if shard is None:
+            return []
+        return [shard.leases[i] for i in sorted(self.open)]
 
-    # -- bookkeeping -------------------------------------------------------
+    def send_shard(self, shard_id: int, specs, keys, timeout_s) -> None:
+        self.channel.send({
+            "t": "shard",
+            "session": self.session,
+            "id": shard_id,
+            "specs": _pack(specs),
+            "keys": keys,
+            "timeout_s": timeout_s,
+        })
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        setattr(self.stats, name, getattr(self.stats, name) + amount)
-        process_registry().counter(f"dispatch.{name}").inc(amount)
+    def recv(self, timeout: float) -> Optional[dict]:
+        """This session's next message, or None; a spool lane polls once."""
+        msg = self.channel.recv(timeout=0.0 if self.polled else timeout)
+        if msg is None or msg.get("session") != self.session:
+            return None
+        return msg
 
-    # -- connection phase --------------------------------------------------
-
-    def _handshake(self, host: HostSpec) -> _Remote:
-        channel = _connect(host, timeout=self.connect_timeout_s)
-        try:
-            channel.send({
-                "t": "hello",
-                "version": PROTOCOL_VERSION,
-                "session": self._session,
-                "code": code_fingerprint(),
-            })
-            reply = channel.recv(timeout=self.connect_timeout_s)
-        except TransportError:
-            channel.close()
-            raise
-        if reply is None:
-            channel.close()
-            raise TransportError(f"{host}: no handshake reply")
-        if reply.get("t") == "reject":
-            channel.close()
-            raise HandshakeRejected(
-                f"{host}: {reply.get('reason', 'rejected')}"
-            )
-        if (
-            reply.get("t") != "welcome"
-            or reply.get("session") != self._session
-        ):
-            channel.close()
-            raise TransportError(f"{host}: bad handshake reply {reply}")
-        return _Remote(host, channel, reply)
-
-    def _connect_all(self) -> None:
-        for host in self.hosts:
+    def close(self, *, bye: bool = False) -> None:
+        if bye:
             try:
-                remote = self._handshake(host)
-            except (TransportError, ValueError, OSError) as exc:
-                self._count("hosts_unreachable")
-                log.warning("dispatch: %s unreachable: %s", host, exc)
-                continue
-            self.remotes.append(remote)
-            log.info(
-                "dispatch: connected %s (label=%s, %d pool worker(s))",
-                host, remote.label, remote.workers,
-            )
+                self.channel.send({"t": "bye", "session": self.session})
+            except TransportError:
+                pass
+        self.channel.close()
 
-    # -- shard planning ----------------------------------------------------
 
-    def _plan_shards(self, leases: Sequence[_Lease]) -> None:
-        from repro.core.run import _plan_chunks
+def lease_payload(msg: dict, spec, key: Optional[str], store: OutcomeCache):
+    """A done lease's ``(outcome, entry bytes or None)``.
 
-        specs = [lease.spec for lease in leases]
-        chunks = _plan_chunks(specs, max(1, len(self.remotes)))
-        with self._lock:
-            for chunk in chunks:
-                self._enqueue_shard([leases[i] for i in chunk])
+    Entry bytes are checked by ``store`` (schema, code fingerprint,
+    address) and raise when they do not match, so a bad payload is a
+    lost lease, never a wrong result.
+    """
+    if "entry" in msg:
+        raw = _unpack_raw(msg["entry"])
+        return store.decode_bytes(raw, spec, key=key), raw
+    return _unpack(msg["pickle"]), None
 
-    def _enqueue_shard(self, leases: list[_Lease]) -> None:
-        """Queue a shard (caller holds the lock for re-dispatch paths)."""
-        if not leases:
-            return
-        shard = _Shard(id=self._next_shard_id, leases=leases)
-        self._next_shard_id += 1
-        self._queue.append(shard)
-        self._count("shards")
-        self._work.notify_all()
 
-    # -- per-lease merge ---------------------------------------------------
-
-    def _merge_lease(
-        self, remote: _Remote, msg: dict, shard: _Shard, outcomes: list
-    ) -> Optional[int]:
-        """Fold one streamed lease into outcomes + journal; its local
-        shard index on success, None for an unusable payload."""
-        from repro.core.pool import record_worker_utilization
-
-        position = msg.get("index")
-        if not isinstance(position, int) or not 0 <= position < len(shard.leases):
-            return None
-        lease = shard.leases[position]
-        status = msg.get("status")
-        duration = float(msg.get("duration", 0.0))
-        raw: Optional[bytes] = None
-        store = (
-            self.journal.payload_store(lease.spec)
-            if self.journal is not None else self._codec
-        )
+def lease_error(msg: dict) -> BaseException:
+    """The exception a failed lease reported, rebuilt where it pickled."""
+    if "error" in msg:
         try:
-            if "entry" in msg:
-                raw = _unpack_raw(msg["entry"])
-                outcome = store.decode_bytes(raw, lease.spec, key=lease.key)
-            else:
-                outcome = _unpack(msg["pickle"])
-        except Exception as exc:  # noqa: BLE001 - treat as a lost lease
-            log.warning(
-                "dispatch: undecodable lease payload from %s (%s); "
-                "the lease will re-run", remote.label, exc,
-            )
-            return None
-        with self._lock:
-            outcomes[lease.index] = outcome
-            self._count("leases_completed")
-            record_worker_utilization(
-                msg.get("pid", -1), duration, host=remote.label
-            )
-            if self.journal is not None and lease.key is not None:
-                if status == "done":
-                    if raw is not None:
-                        store.put_bytes(lease.key, raw)
-                    self.journal.record(
-                        lease.key, "done",
-                        attempt=int(msg.get("attempts", 1)),
-                        duration_s=duration,
-                        host=remote.label,
-                        pid=msg.get("pid"),
-                    )
-                else:
-                    self.journal.record(
-                        lease.key, "quarantined",
-                        attempt=int(msg.get("attempts", 1)),
-                        duration_s=duration,
-                        kind=msg.get("kind"),
-                        message=msg.get("message"),
-                        host=remote.label,
-                        pid=msg.get("pid"),
-                    )
-        return position
-
-    # -- the per-worker pump -----------------------------------------------
-
-    def _serve_remote(self, remote: _Remote, outcomes: list):
-        while True:
-            with self._work:
-                # An empty queue is not the end while a peer still owns
-                # a shard: its death would requeue leftovers for us.
-                while (
-                    not self._queue
-                    and self._inflight
-                    and self._failure is None
-                ):
-                    self._work.wait(0.2)
-                if self._failure is not None or not self._queue:
-                    break
-                shard = self._queue.popleft()
-                self._inflight += 1
-            alive = self._pump_shard(remote, shard, outcomes)
-            with self._work:
-                self._inflight -= 1
-                self._work.notify_all()
-            if not alive:
-                return  # channel already closed by _pump_shard
-        try:
-            remote.channel.send({"t": "bye", "session": self._session})
-        except TransportError:
-            pass
-        remote.channel.close()
-
-    def _pump_shard(
-        self, remote: _Remote, shard: _Shard, outcomes: list
-    ) -> bool:
-        """Run one shard on one remote; False = the remote is gone."""
-        pending = set(range(len(shard.leases)))
-        try:
-            remote.channel.send({
-                "t": "shard",
-                "session": self._session,
-                "id": shard.id,
-                "specs": _pack([lease.spec for lease in shard.leases]),
-                "keys": [lease.key for lease in shard.leases],
-                "policy": _pack(self.policy) if self.policy else None,
-            })
-            self._count("leases_sent", len(shard.leases))
-            while pending:
-                msg = remote.channel.recv(timeout=self.io_timeout_s)
-                if msg is None:
-                    raise TransportError(
-                        f"{remote.label}: silent past "
-                        f"{self.io_timeout_s:.0f} s"
-                    )
-                if msg.get("session") != self._session:
-                    continue
-                kind = msg.get("t")
-                if kind == "lease" and msg.get("shard") == shard.id:
-                    position = self._merge_lease(
-                        remote, msg, shard, outcomes
-                    )
-                    if position is not None:
-                        pending.discard(position)
-                elif kind == "shard_done" and msg.get("id") == shard.id:
-                    break
-                elif kind == "shard_failed" and msg.get("id") == shard.id:
-                    with self._work:
-                        self._failure = (
-                            f"{remote.label}: {msg.get('error')}"
-                        )
-                        self._work.notify_all()
-                    remote.channel.close()
-                    return False
-        except TransportError as exc:
-            # The worker died (or the transport did — same remedy):
-            # put its unfinished leases back for the survivors.
-            self._count("worker_deaths")
-            leftovers = [shard.leases[i] for i in sorted(pending)]
-            with self._work:
-                self._enqueue_shard(leftovers)
-            self._count("redispatched_leases", len(leftovers))
-            log.warning(
-                "dispatch: lost %s mid-shard (%s); re-dispatching "
-                "%d unfinished lease(s)",
-                remote.label, exc, len(leftovers),
-            )
-            remote.channel.close()
-            return False
-        if pending:
-            # shard_done with leases unaccounted for: a worker bug, but
-            # the idempotent remedy is the same re-dispatch.
-            leftovers = [shard.leases[i] for i in sorted(pending)]
-            with self._work:
-                self._enqueue_shard(leftovers)
-            self._count("redispatched_leases", len(leftovers))
-        return True
-
-    # -- entry point -------------------------------------------------------
-
-    def run(
-        self,
-        specs: Sequence["RunSpec"],
-        *,
-        keys: Optional[Sequence[Optional[str]]] = None,
-    ) -> list:
-        """Execute every spec across the hosts; outcomes in spec order.
-
-        ``keys`` are the specs' lease keys when the caller has computed
-        them already.
-        """
-        outcomes: list = [None] * len(specs)
-        pending = resume_leases(specs, keys, self.journal, outcomes)
-        if not pending:
-            return outcomes
-
-        self._connect_all()
-        if self.remotes and self.journal is not None:
-            with self.journal.batched(self.journal_flush_every):
-                self._dispatch(pending, outcomes)
-        elif self.remotes:
-            self._dispatch(pending, outcomes)
-        if self._failure is not None:
-            raise RuntimeError(f"distributed sweep failed: {self._failure}")
-
-        remaining = [
-            lease for lease in pending if outcomes[lease.index] is None
-        ]
-        if remaining:
-            # Zero reachable workers, or the survivors died too: the
-            # local supervisor path finishes what the fleet could not.
-            self._count("local_fallback_leases", len(remaining))
-            if self.remotes or self.stats.hosts_unreachable:
-                log.warning(
-                    "dispatch: finishing %d lease(s) locally "
-                    "(workers=%d)", len(remaining), self.local_workers,
-                )
-            supervisor = SweepSupervisor(
-                self.local_workers,
-                policy=self.policy,
-                journal=self.journal,
-                task=self.task,
-            )
-            local = supervisor.run(
-                [lease.spec for lease in remaining],
-                keys=[lease.key for lease in remaining],
-            )
-            for lease, outcome in zip(remaining, local):
-                outcomes[lease.index] = outcome
-        return outcomes
-
-    def _dispatch(
-        self, pending: list[_Lease], outcomes: list
-    ) -> None:
-        self._plan_shards(pending)
-        threads = [
-            threading.Thread(
-                target=self._serve_remote,
-                args=(remote, outcomes),
-                name=f"dispatch-{remote.label}",
-                daemon=True,
-            )
-            for remote in self.remotes
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
+            exc = _unpack(msg["error"])
+        except Exception:  # noqa: BLE001 - fall back to the message
+            exc = None
+        if isinstance(exc, BaseException):
+            return exc
+    return RuntimeError(msg.get("message") or "lease failed")

@@ -13,20 +13,20 @@ accounting, the run's metrics snapshot and (when tracing) its trace —
 all picklable, so ``workers=N`` returns exactly what ``workers=0``
 returns, in spec order.
 
-``execute`` is also the seat of the **sweep fabric**: parallel sweeps
-run on the persistent worker pool (:mod:`repro.core.pool`), specs are
-grouped by :func:`~repro.core.parallel.catalogue_key` and submitted
-catalogue-locality first, and ``cache=`` memoises whole outcomes
-through the content-addressed :mod:`repro.core.outcome_cache`.
-Parallel dispatch itself is owned by the crash-safe
-:class:`~repro.core.supervisor.SweepSupervisor`: future-per-task
-leases with per-spec timeout, capped retries, poison quarantine,
-``BrokenProcessPool`` salvage and a resumable sweep journal
-(``policy=`` / ``journal=``); ``hosts=`` shards the leases over worker
-daemons through :class:`~repro.core.distributed.SweepCoordinator`.
-None of these layers changes any comparable outcome: cold pool, warm
-pool, cache hit, resumed journal, remote hosts and ``workers=0`` all
-compare ``==``.
+``execute`` is also the seat of the **sweep fabric**.  Every sweep
+but the plain in-process one runs through one loop, the
+:class:`~repro.core.supervisor.SweepCoordinator`: it plans
+catalogue-pure shards (:func:`_plan_chunks`, grouped by
+:func:`~repro.core.parallel.catalogue_key`), hands them to lanes — this
+process, forked local workers (``workers=N``, :mod:`repro.core.pool`)
+or ``repro worker`` daemons (``hosts=``, :mod:`repro.core.distributed`)
+— and applies the sweep policy once for all of them: per-spec timeout,
+capped retries, poison quarantine, death re-dispatch and a resumable
+sweep journal (``policy=`` / ``journal=``).  ``cache=`` memoises whole
+outcomes through the content-addressed :mod:`repro.core.outcome_cache`.
+None of these layers changes any comparable outcome: local workers,
+cache hit, resumed journal, remote hosts and ``workers=0`` all compare
+``==``.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ from repro.core.session import SessionResult
 from repro.core.supervisor import (
     FailedOutcome,
     JournalSpec,
+    LeaseResult,
+    SweepCoordinator,
     SweepPolicy,
-    SweepSupervisor,
     resolve_sweep_journal,
 )
 from repro.obs import (
@@ -69,7 +70,6 @@ from repro.obs import (
     TraceConfig,
     TraceEvent,
 )
-from repro.obs.metrics import process_registry
 
 #: What ``tracer=`` accepts: nothing, "just collect" (unbounded ring
 #: buffer), or a full sink description.
@@ -193,26 +193,6 @@ def _plan_chunks(
     return chunks
 
 
-def _record_worker_encode_stats(
-    reports: Sequence[tuple[int, int, int]],
-) -> None:
-    """Publish per-worker asset-cache totals as process-level gauges.
-
-    ``reports`` holds ``(pid, misses, hits)`` per delivered lease.
-    Worker cache counters are monotone per process, so the max across
-    lease reports is the worker's lifetime total; benchmarks difference
-    these gauges around a sweep to count encodes it caused.
-    """
-    registry = process_registry()
-    per_pid: dict[int, tuple[int, int]] = {}
-    for pid, misses, hits in reports:
-        prev_misses, prev_hits = per_pid.get(pid, (0, 0))
-        per_pid[pid] = (max(prev_misses, misses), max(prev_hits, hits))
-    for pid, (misses, hits) in per_pid.items():
-        registry.gauge("pool.worker.asset_encodes", pid=pid).set(misses)
-        registry.gauge("pool.worker.asset_hits", pid=pid).set(hits)
-
-
 def execute(
     specs: Sequence[Union[RunSpec, FleetSpec]],
     *,
@@ -227,16 +207,15 @@ def execute(
     """Execute a batch of specs, serially or over worker processes.
 
     The single sweep entry point: ``workers=0`` runs in process (and may
-    keep live results); ``workers=N`` fans out over the persistent
-    worker pool through the crash-safe sweep supervisor.  The
-    comparable parts of the outcomes are identical either way, in spec
-    order.  ``tracer`` applies to every spec that does not already
-    carry its own ``tracing`` config.
+    keep live results); ``workers=N`` fans out over N local workers
+    through the sweep loop.  The comparable parts of the outcomes are
+    identical either way, in spec order.  ``tracer`` applies to every
+    spec that does not already carry its own ``tracing`` config.
 
-    Worker submission follows a catalogue-locality plan, so each worker
-    encodes each (service, duration, seed) catalogue at most once.
-    ``cache`` memoises comparable outcomes on disk — ``True`` for the
-    default directory, a path, or an
+    Leases go out in catalogue-pure shards, so each worker encodes each
+    (service, duration, seed) catalogue at most once.  ``cache``
+    memoises comparable outcomes on disk — ``True`` for the default
+    directory, a path, or an
     :class:`~repro.core.outcome_cache.OutcomeCache`; only cache misses
     are executed, and hits reconstruct outcomes that compare ``==`` to
     freshly computed ones.
@@ -253,14 +232,17 @@ def execute(
     a path keeps its payloads in ``cache`` when one is given, so each
     outcome is written once; resume such a sweep with the same cache.
 
-    Each spec's lease key is computed once per call and serves the
-    cache read, the journal and the cache write.
+    A spec's lease key is computed once per call, and only when a
+    cache, journal, policy or host needs it; it serves the cache read,
+    the journal and the cache write.  A done lease is pickled once:
+    workers ship cache-entry bytes, which land verbatim in the store
+    the journal picks and in the cache.
 
     ``hosts`` shards the sweep across worker daemons
     (:mod:`repro.core.distributed`): each entry is ``HOST:PORT`` for a
     ``repro worker --listen`` daemon or ``spool:PATH`` for a shared
-    filesystem spool.  ``workers`` then sizes the *local fallback* pool
-    used when no host is reachable.  Outcomes still compare ``==`` to a
+    filesystem spool.  ``workers`` then sizes the *local fallback* used
+    when no host is left.  Outcomes still compare ``==`` to a
     ``workers=0`` in-process run — distribution changes where a lease
     executes, never what it produces.
     """
@@ -308,67 +290,46 @@ def execute(
             if cacheable[index]:
                 outcomes[index] = store.get(specs[index], key=keys[index])
         pending = [index for index in pending if outcomes[index] is None]
-    sweep_journal = None
-    if pending and supervised:
-        sweep_journal = resolve_sweep_journal(
-            journal, specs, keys=keys, cache=store
-        )
-    pending_keys = None if keys is None else [keys[i] for i in pending]
-    if hosts and pending:
-        # Distributed path: shard the pending leases over worker
-        # daemons; journal resume, cache putback and the determinism
-        # contract are unchanged.  Lazy import — distributed.py needs
-        # _plan_chunks from this module.
-        from repro.core.distributed import SweepCoordinator
-
-        coordinator = SweepCoordinator(
-            hosts,
-            policy=policy,
-            journal=sweep_journal,
-            local_workers=workers,
-        )
-        dispatched = coordinator.run(
-            [specs[i] for i in pending], keys=pending_keys
-        )
-        for local_index, outcome in enumerate(dispatched):
-            outcomes[pending[local_index]] = outcome
-    elif not supervised and (workers == 0 or len(pending) <= 1):
+    local_workers = workers if len(pending) > 1 else 0
+    fabric = store is not None or supervised or hosts or local_workers
+    if not pending or not fabric:
         # The byte-identity oracle path: plain in-process loop.
         for index in pending:
             outcomes[index] = run_one(
                 specs[index], keep_result=keep_results
             )
-    elif pending:
-        pending_specs = [specs[i] for i in pending]
-        serial = workers == 0 or len(pending) <= 1
-        order = None
-        if not serial:
-            chunks = _plan_chunks(pending_specs, workers)
-            order = [i for chunk in chunks for i in chunk]
-        supervisor = SweepSupervisor(
-            0 if serial else workers,
-            policy=policy,
-            journal=sweep_journal,
-        )
-        supervised_outcomes = supervisor.run(
-            pending_specs, order=order, keys=pending_keys
-        )
-        for local_index, outcome in enumerate(supervised_outcomes):
-            outcomes[pending[local_index]] = outcome
-        if supervisor.encode_reports:
-            _record_worker_encode_stats(supervisor.encode_reports)
-    if store is not None and (
-        sweep_journal is None or sweep_journal.cache is not store
-    ):
-        # Write back what no journal stored in this cache already.
-        for index in pending:
-            outcome = outcomes[index]
-            if (
-                cacheable[index]
-                and outcome is not None
-                and not isinstance(outcome, FailedOutcome)
-            ):
-                store.put(specs[index], outcome, key=keys[index])
+        return outcomes
+    sweep_journal = resolve_sweep_journal(
+        journal, specs, keys=keys, cache=store
+    )
+
+    def write_back(result: LeaseResult) -> None:
+        """Put a done lease in the cache, unless the journal did."""
+        index = pending[result.index]
+        spec, key = specs[index], keys[index]
+        if result.status != "done" or not cacheable[index] or (
+            sweep_journal is not None
+            and sweep_journal.payload_store(spec) is store
+        ):
+            return
+        if result.entry is not None:
+            store.put_bytes(key, result.entry)
+        else:
+            store.put(spec, result.outcome, key=key)
+
+    coordinator = SweepCoordinator(
+        hosts or (),
+        policy=policy,
+        journal=sweep_journal,
+        local_workers=local_workers,
+        on_terminal=write_back if store is not None else None,
+    )
+    dispatched = coordinator.run(
+        [specs[i] for i in pending],
+        keys=None if keys is None else [keys[i] for i in pending],
+    )
+    for local_index, outcome in enumerate(dispatched):
+        outcomes[pending[local_index]] = outcome
     return outcomes
 
 

@@ -1,30 +1,42 @@
-"""Crash-safe sweep supervision: leases, retries, quarantine, resume.
+"""Crash-safe sweeps: leases, the one dispatch loop, retries, resume.
 
-The sweep fabric (PR 5) made sweeps fast; this layer makes them
-survivable.  ``executor.map`` was all-or-nothing: one worker death
-(``BrokenProcessPool``) discarded every completed-but-undelivered
-result, one hung spec stalled the sweep forever, and a SIGKILL'd sweep
-restarted from zero unless the opt-in outcome cache happened to cover
-it.  :class:`SweepSupervisor` replaces that path with future-per-task
-dispatch over the same persistent :class:`~repro.core.pool.WorkerPool`:
+Every sweep except the plain in-process oracle runs through one loop,
+:class:`SweepCoordinator`.  It hands catalogue-pure shards of leases to
+*lanes* and applies the sweep policy as their results come back.  A
+lane is one of three things:
+
+* this process: the loop calls the lease task directly, with no
+  thread, channel or pickle;
+* a forked local worker (:mod:`repro.core.pool`): a
+  :class:`~repro.core.distributed.SweepWorker` on one end of a socket
+  pair, spoken to with the daemon's handshake and messages;
+* a ``repro worker`` daemon (:mod:`repro.core.distributed`), over a
+  socket or a spool directory.
+
+A worker runs each lease it is sent once and streams back ``done`` or
+a typed failure.  Everything else happens here, once, for every lane:
 
 * **Leases.** Each spec is an idempotent lease keyed by the canonical
   RunSpec SHA-256 (:func:`~repro.core.outcome_cache.lease_key` — the
   outcome cache's addressing, minus the side-effect refusal).  Running
   a lease twice produces the same outcome, so re-running is always
-  safe; the supervisor only decides *whether* it is necessary.
-* **Timeout / retry / quarantine.** A lease that raises (or exceeds
-  ``SweepPolicy.timeout_s``) is retried with seeded exponential
-  backoff up to ``max_attempts``; a poison spec that keeps failing is
-  recorded as a typed :class:`FailedOutcome` instead of sinking the
-  other N-1 results.  With quarantine off (the default policy) the
-  first exhausted lease raises, preserving the old contract.
-* **Pool-death salvage.** On ``BrokenProcessPool`` every delivered
-  result is kept, the pool is respawned in place, and only the
-  in-flight leases re-run.  After ``max_pool_respawns`` *consecutive*
-  deaths the supervisor degrades to in-process serial execution with a
-  loud log line and a ``sweep.serial_degradations`` metric — slow
-  beats dead.
+  safe; the loop only decides *whether* it is necessary.
+* **Retry / quarantine.** A failed attempt is retried with seeded
+  exponential backoff up to ``SweepPolicy.max_attempts``; a poison
+  spec that keeps failing is recorded as a typed
+  :class:`FailedOutcome` instead of sinking the other N-1 results.
+  With quarantine off (the default policy) the first exhausted lease
+  raises.
+* **Timeouts.** A local worker whose lease outlives
+  ``SweepPolicy.timeout_s`` is killed and respawned: the lease failed
+  an attempt, the rest of its shard is re-dispatched.
+* **Deaths.** A lane that dies has its unfinished leases re-dispatched.
+  A dead local worker is respawned and the lease it was running counts
+  one death; after ``max_pool_respawns`` consecutive deaths the sweep
+  degrades to this process, with a loud log line and a
+  ``sweep.serial_degradations`` metric — slow beats dead.  When the
+  last daemon is lost the sweep falls back to local workers, or to this
+  process without them.
 * **Journal.** :class:`SweepJournal` is an append-only JSONL of
   ``{spec_sha, status, attempt, duration}`` lines whose payloads,
   keyed by lease SHA, live in the sweep's outcome cache when it has
@@ -37,31 +49,34 @@ dispatch over the same persistent :class:`~repro.core.pool.WorkerPool`:
 
 Supervision counters (``sweep.retries``, ``sweep.timeouts``,
 ``sweep.quarantined``, ``sweep.pool_respawns``, ``sweep.resumed_skips``,
-``sweep.serial_degradations``) land in the process-level metrics
-registry: where and whether work re-ran is process history, and must
-stay outside the ``workers=0 == workers=N`` snapshot equivalence.
+``sweep.serial_degradations``) and dispatch counters (``dispatch.*``:
+shards and leases sent to workers, deaths, re-dispatches, fallbacks)
+land in the process-level metrics registry: where and whether work
+re-ran is process history, and must stay outside the
+``workers=0 == workers=N`` snapshot equivalence.
 
-Determinism contract, restated: supervision changes *where and
-whether* a lease executes — never what it produces.  A sweep that lost
-workers, timed out stragglers and resumed from a journal compares
-``==`` to a clean ``workers=0`` run, minus any quarantined leases,
-which are typed failures rather than silent absences.
+Determinism contract, restated: the loop changes *where and whether* a
+lease executes — never what it produces.  A sweep that lost workers,
+timed out stragglers and resumed from a journal compares ``==`` to a
+clean ``workers=0`` run, minus any quarantined leases, which are typed
+failures rather than silent absences.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import heapq
+import itertools
 import json
 import logging
 import os
 import random
+import select
 import time
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Optional, Sequence, Union
 
@@ -72,12 +87,21 @@ from repro.core.outcome_cache import (
     has_file_sink,
     lease_key,
 )
-from repro.obs.metrics import EMPTY_SNAPSHOT, MetricsSnapshot, process_registry
+from repro.obs.metrics import (
+    EMPTY_SNAPSHOT,
+    SWEEP_COUNTERS,
+    MetricsSnapshot,
+    process_registry,
+)
 
 if TYPE_CHECKING:  # circular at runtime: run.py imports this module
     from repro.core.parallel import RunSpec
 
 log = logging.getLogger("repro.sweep")
+
+#: Journal records per fsync while a sweep runs (group commit): each
+#: line is still appended at ``record`` time, only the fsync waits.
+JOURNAL_FLUSH_EVERY = 64
 
 
 class SpecTimeout(RuntimeError):
@@ -88,15 +112,16 @@ class SpecTimeout(RuntimeError):
 class SweepPolicy:
     """Supervision knobs for one sweep.
 
-    The default policy preserves the legacy contract — no timeout, one
-    attempt, first failure raises — while still salvaging results
-    across pool deaths.  Robust sweeps opt in, e.g.::
+    The default policy is no timeout, one attempt, first failure
+    raises, while results still survive worker deaths.  Robust sweeps
+    opt in, e.g.::
 
         SweepPolicy(timeout_s=120.0, max_attempts=3, quarantine=True)
     """
 
-    #: Per-spec wall-clock budget; ``None`` disables.  Enforced only on
-    #: worker-pool runs — an in-process lease cannot be preempted.
+    #: Per-spec wall-clock budget; ``None`` disables.  Enforced on local
+    #: workers (the loop kills the worker) and by daemons serving with
+    #: local workers — an in-process lease cannot be preempted.
     timeout_s: Optional[float] = None
     #: Total tries per lease (first run + retries).
     max_attempts: int = 1
@@ -108,10 +133,10 @@ class SweepPolicy:
     backoff_seed: int = 0
     #: Exhausted leases become :class:`FailedOutcome` instead of raising.
     quarantine: bool = False
-    #: Consecutive pool deaths tolerated (each one respawns the pool);
-    #: one more degrades the sweep to in-process serial execution.
+    #: Consecutive local worker deaths tolerated (each one respawns the
+    #: worker); one more degrades the sweep to in-process execution.
     max_pool_respawns: int = 3
-    #: Pool deaths a single lease may be in flight for before it is
+    #: Worker deaths a single lease may be running for before it is
     #: presumed poison (it keeps killing its worker) and quarantined.
     lease_death_limit: int = 3
 
@@ -146,7 +171,9 @@ class FailedOutcome:
 
 @dataclass
 class SweepStats:
-    """What supervision did during one sweep (mirrored to ``sweep.*``)."""
+    """What the loop did during one sweep.  The first six fields mirror
+    to ``sweep.*`` counters, the rest (what went to which worker) to
+    ``dispatch.*``."""
 
     retries: int = 0
     timeouts: int = 0
@@ -154,6 +181,13 @@ class SweepStats:
     pool_respawns: int = 0
     resumed_skips: int = 0
     serial_degradations: int = 0
+    shards: int = 0
+    leases_sent: int = 0
+    leases_completed: int = 0
+    worker_deaths: int = 0
+    redispatched_leases: int = 0
+    hosts_unreachable: int = 0
+    local_fallback_leases: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +223,10 @@ class SweepJournal:
 
     **Group commit** (``flush_every > 1``): the journal keeps one open
     handle and fsyncs once per ``flush_every`` records instead of
-    opening + fsyncing per line — the merge-path optimisation for a
-    coordinator streaming thousands of lease completions.  The write
-    itself still happens per record, so the torn-tail guarantee is
-    unchanged; a crash loses at most the records since the last fsync,
-    each of which simply re-runs.  :meth:`flush` forces the fsync;
+    opening + fsyncing per line; the sweep loop records in this mode
+    (:data:`JOURNAL_FLUSH_EVERY`).  The write itself still happens per
+    record, so the torn-tail guarantee is unchanged; a crash loses at
+    most the records since the last fsync, each of which simply re-runs.  :meth:`flush` forces the fsync;
     :meth:`close` flushes and releases the handle.
 
     Lines dropped on load because they would not decode are *counted*
@@ -370,9 +403,6 @@ class SweepJournal:
             return self.cache
         return self.store
 
-    def store_outcome(self, key: str, outcome) -> None:
-        self.payload_store(outcome.spec).put(outcome.spec, outcome, key=key)
-
     def load_outcome(self, spec: "RunSpec", key: str):
         """The stored payload for a done lease, or ``None`` (re-run)."""
         return self.payload_store(spec).get(spec, key=key)
@@ -383,12 +413,11 @@ def restore_from_journal(
 ):
     """Rebuild the outcome a journal marks terminal, or ``None`` (re-run).
 
-    The resume primitive shared by :class:`SweepSupervisor` and the
-    distributed coordinator: a ``done`` entry restores its stored
-    payload (which must load under the current code fingerprint), a
-    ``quarantined`` entry restores a typed :class:`FailedOutcome` only
-    when recorded under the same code — a fixed simulator deserves a
-    fresh try at the poison spec.
+    The resume primitive of :func:`resume_leases`: a ``done`` entry
+    restores its stored payload (which must load under the current code
+    fingerprint), a ``quarantined`` entry restores a typed
+    :class:`FailedOutcome` only when recorded under the same code — a
+    fixed simulator deserves a fresh try at the poison spec.
     """
     if journal is None or key is None:
         return None
@@ -411,14 +440,16 @@ def restore_from_journal(
 
 @dataclass(frozen=True)
 class LeaseResult:
-    """One terminal lease, as streamed to an ``on_terminal`` observer.
+    """One terminal lease, as handed to an ``on_terminal`` observer.
 
-    The distributed worker (:mod:`repro.core.distributed`) forwards
-    these over its transport as they land, so a coordinator can journal
-    and merge progress without waiting for the whole shard.
+    A worker daemon serving with local workers streams these back over
+    its transport as they land; ``execute`` writes them to its cache.
+    ``entry`` holds the outcome's cache-entry bytes when a lane shipped
+    or the journal stored them, so an observer can store them again
+    without a second pickle.
     """
 
-    index: int  # position in the supervised spec sequence
+    index: int  # position in the swept spec sequence
     key: Optional[str]
     status: str  # "done" | "quarantined"
     outcome: object  # RunOutcome | FleetOutcome | FailedOutcome | raw payload
@@ -426,6 +457,8 @@ class LeaseResult:
     duration_s: float
     kind: Optional[str] = None
     message: Optional[str] = None
+    pid: Optional[int] = None
+    entry: Optional[bytes] = None
 
 
 def sweep_key(
@@ -478,14 +511,14 @@ def resolve_sweep_journal(
 
 
 # ---------------------------------------------------------------------------
-# The supervisor
+# The loop
 # ---------------------------------------------------------------------------
 
 
 def _lease_task(spec: "RunSpec"):
-    """Run one lease in a worker: the outcome plus the worker's asset
-    cache activity since its initializer baseline (for the per-worker
-    encode gauges ``execute`` publishes)."""
+    """Run one lease: the outcome plus the running process's pid and its
+    asset-cache activity since its baseline (a forked local worker marks
+    one at spawn), which feed the per-worker encode gauges."""
     from repro.core.run import run_one
     from repro.media.cache import asset_cache
 
@@ -501,8 +534,12 @@ class _Lease:
     key: Optional[str]
     attempts: int = 0
     deaths: int = 0
-    started_at: float = 0.0
-    deadline: Optional[float] = None
+
+
+@dataclass
+class _Shard:
+    id: int
+    leases: list[_Lease]
 
 
 def resume_leases(
@@ -513,14 +550,19 @@ def resume_leases(
 ) -> list[_Lease]:
     """Lease every spec, restoring those the journal marks terminal.
 
-    The journal-resume prefix shared by :meth:`SweepSupervisor.run` and
-    the distributed coordinator: each restored outcome lands in its
-    ``outcomes`` slot and counts one ``sweep.resumed_skips``; the
-    returned leases still need running.  ``keys`` are the specs' lease
-    keys when the caller has computed them already.
+    The journal-resume prefix of :meth:`SweepCoordinator.run`: each
+    restored outcome lands in its ``outcomes`` slot and counts one
+    ``sweep.resumed_skips``; the returned leases still need running.
+    ``keys`` are the specs' lease keys when the caller has computed them
+    already; otherwise specs are keyed only when there is a journal to
+    consult.
     """
     if keys is None:
-        keys = [lease_key(spec) for spec in specs]
+        keys = (
+            [lease_key(spec) for spec in specs]
+            if journal is not None
+            else [None] * len(specs)
+        )
     pending: list[_Lease] = []
     for index, (spec, key) in enumerate(zip(specs, keys)):
         restored = restore_from_journal(journal, spec, key)
@@ -534,46 +576,59 @@ def resume_leases(
     return pending
 
 
-class SweepSupervisor:
-    """Future-per-task sweep execution with leases, retries and resume.
+class SweepCoordinator:
+    """The one sweep loop: shards of leases over lanes, policy applied here.
 
-    ``task`` is the module-level callable each lease dispatches
-    (``spec -> (payload, pid, encode_misses, encode_hits)``);
-    injectable so chaos tests can wrap it with worker-killing or
-    hanging behaviour without touching the production path.
+    ``hosts`` name ``repro worker`` daemons (``HOST:PORT`` or
+    ``spool:PATH``).  Without any, or once the last of them is lost, the
+    sweep runs on ``local_workers`` forked local workers, and without
+    those in this process.  ``task`` is the lease task
+    (``spec -> (payload, pid, encode_misses, encode_hits)``); local
+    workers are forked from this process, so an injected task reaches
+    them.  ``on_terminal`` sees each lease as it turns terminal, in
+    completion order.
     """
 
     def __init__(
         self,
-        workers: int,
+        hosts: Sequence[str] = (),
         *,
         policy: Optional[SweepPolicy] = None,
         journal: Optional[SweepJournal] = None,
+        local_workers: int = 0,
+        connect_timeout_s: float = 5.0,
+        io_timeout_s: float = 600.0,
         task: Callable = _lease_task,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
         on_terminal: Optional[Callable[[LeaseResult], None]] = None,
     ):
-        self.workers = workers
+        self.hosts = list(hosts)
         self.policy = policy if policy is not None else SweepPolicy()
         self.journal = journal
+        self.local_workers = local_workers
+        self.connect_timeout_s = connect_timeout_s
+        self.io_timeout_s = io_timeout_s
         self.task = task
-        self.clock = clock
-        self.sleep = sleep
-        #: Streaming observer: called once per lease as it turns
-        #: terminal (success or quarantine), in completion order.  The
-        #: distributed worker uses this to push results over its
-        #: transport while the rest of the shard is still running.
         self.on_terminal = on_terminal
         self.stats = SweepStats()
-        #: (pid, misses, hits) asset-cache reports from worker leases.
-        self.encode_reports: list[tuple[int, int, int]] = []
+        self._session = base64.b16encode(os.urandom(8)).decode("ascii")
+        # Decodes the entries of a sweep without a journal to store them.
+        self._codec = OutcomeCache(Path(os.devnull))
+        self._pool = None  # the local worker pool, once the sweep uses it
+        self._lanes: list = []  # the lanes of the current tier; [] = here
+        self._queue: deque[_Shard] = deque()
+        self._delayed: list[tuple[float, int, _Lease]] = []  # backoff heap
+        self._ids = itertools.count()
+        self._deaths = 0  # consecutive local worker deaths
+        self._outcomes: list = []
 
     # -- bookkeeping -------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
         setattr(self.stats, name, getattr(self.stats, name) + amount)
-        process_registry().counter(f"sweep.{name}").inc(amount)
+        metric = f"sweep.{name}"
+        if metric not in SWEEP_COUNTERS:
+            metric = f"dispatch.{name}"
+        process_registry().counter(metric).inc(amount)
 
     def _backoff_delay(self, lease: _Lease) -> float:
         policy = self.policy
@@ -595,87 +650,160 @@ class SweepSupervisor:
             f"/rep{spec.repetition} (lease {lease.key or f'#{lease.index}'})"
         )
 
+    def _enqueue(self, leases: Sequence[_Lease]) -> None:
+        if leases:
+            self._queue.append(_Shard(next(self._ids), list(leases)))
+
+    def _requeue(self, leases: Sequence[_Lease]) -> None:
+        """Put leases a lane did not finish back for the others."""
+        if leases:
+            self._count("redispatched_leases", len(leases))
+            self._enqueue(leases)
+
+    # -- lanes -------------------------------------------------------------
+
+    def _handshake(self, host: str):
+        from repro.core.distributed import Lane, _connect, handshake
+
+        channel = _connect(host, timeout=self.connect_timeout_s)
+        welcome = handshake(
+            channel, self._session, timeout=self.connect_timeout_s, host=host
+        )
+        return Lane(channel, welcome, self._session, remote=True)
+
+    def _connect_all(self) -> list:
+        from repro.core.distributed import TransportError
+
+        lanes = []
+        for host in self.hosts:
+            try:
+                lane = self._handshake(host)
+            except (TransportError, ValueError, OSError) as exc:
+                self._count("hosts_unreachable")
+                log.warning("dispatch: %s unreachable: %s", host, exc)
+                continue
+            lanes.append(lane)
+            log.info(
+                "dispatch: connected %s (label=%s, %d pool worker(s))",
+                host, lane.label, lane.workers,
+            )
+        return lanes
+
+    def _local_lanes(self) -> list:
+        """The local workers' lanes, or [] to run in this process."""
+        if self.local_workers <= 0:
+            return []
+        from repro.core.pool import local_pool
+
+        self._pool = local_pool(self.local_workers, self.task)
+        return list(self._pool.lanes)
+
+    def _fall_back(self, leases: int) -> None:
+        """No daemon is left: finish on local workers, else here."""
+        self._count("local_fallback_leases", leases)
+        self._lanes = self._local_lanes()
+        if self.stats.hosts_unreachable or self.stats.worker_deaths:
+            log.warning(
+                "dispatch: finishing %d lease(s) locally (workers=%d)",
+                leases, len(self._lanes),
+            )
+
+    def _replace(self, lane) -> None:
+        self._lanes[self._lanes.index(lane)] = self._pool.replace(lane)
+
+    def _release(self) -> None:
+        """Hang up on daemons; kill local workers still mid-shard, whose
+        late messages would reach the next sweep."""
+        for lane in self._lanes:
+            if lane.remote:
+                lane.close(bye=True)
+            elif lane.shard is not None:
+                lane.shard = None
+                self._pool.kill(lane)
+        self._lanes = []
+
     # -- terminal states ---------------------------------------------------
 
-    def _record_success(
-        self, lease: _Lease, payload, outcomes: list, duration_s: float
-    ) -> None:
-        from repro.core.pool import record_worker_utilization
-
-        outcome, pid, misses, hits = payload
-        outcomes[lease.index] = outcome
-        if pid != os.getpid():
-            self.encode_reports.append((pid, misses, hits))
-        record_worker_utilization(pid, duration_s)
+    def _finish(self, lease: _Lease, result: LeaseResult, lane) -> None:
+        """A lease turned terminal: fill its slot, journal it (after its
+        payload, which the caller stored) and tell the observer."""
+        self._outcomes[lease.index] = result.outcome
         if self.journal is not None and lease.key is not None:
-            from repro.core.fleet import FleetOutcome
-            from repro.core.run import RunOutcome
-
-            if isinstance(outcome, (RunOutcome, FleetOutcome)):
-                self.journal.store_outcome(lease.key, outcome)
             self.journal.record(
-                lease.key,
-                "done",
-                attempt=lease.attempts + 1,
-                duration_s=duration_s,
-                pid=pid,
+                lease.key, result.status,
+                attempt=result.attempts,
+                duration_s=result.duration_s,
+                kind=result.kind,
+                message=result.message,
+                host=lane.label if lane is not None and lane.remote else None,
+                pid=result.pid,
             )
         if self.on_terminal is not None:
-            self.on_terminal(LeaseResult(
-                index=lease.index,
-                key=lease.key,
-                status="done",
-                outcome=outcome,
-                attempts=lease.attempts + 1,
-                duration_s=duration_s,
-            ))
+            self.on_terminal(result)
 
-    def _quarantine(
+    def _succeed(
         self,
         lease: _Lease,
-        kind: str,
-        exc: Optional[BaseException],
-        outcomes: list,
+        outcome,
+        *,
+        duration_s: float,
+        pid: Optional[int],
+        lane=None,
+        entry: Optional[bytes] = None,
     ) -> None:
-        message = "" if exc is None else f"{type(exc).__name__}: {exc}"
-        attempts = max(lease.attempts, lease.deaths, 1)
-        outcomes[lease.index] = FailedOutcome(
-            spec=lease.spec, kind=kind, attempts=attempts, message=message
+        from repro.core.fleet import FleetOutcome
+        from repro.core.pool import record_worker_utilization
+        from repro.core.run import RunOutcome
+
+        remote = lane is not None and lane.remote
+        record_worker_utilization(
+            -1 if pid is None else pid,
+            duration_s,
+            host=lane.label if remote else None,
         )
+        if lane is not None:
+            self._count("leases_completed")
+            self._deaths = 0
+        if (
+            self.journal is not None
+            and lease.key is not None
+            and isinstance(outcome, (RunOutcome, FleetOutcome))
+        ):
+            # Stored before its journal line: a crash between the two
+            # re-runs the lease, never trusts a missing payload.
+            store = self.journal.payload_store(lease.spec)
+            if entry is None:
+                entry = store.encode_entry(lease.spec, outcome, key=lease.key)
+            store.put_bytes(lease.key, entry)
+        self._finish(lease, LeaseResult(
+            lease.index, lease.key, "done", outcome, lease.attempts + 1,
+            duration_s, pid=pid, entry=entry,
+        ), lane)
+
+    def _quarantine(
+        self, lease: _Lease, kind: str, message: str, lane=None
+    ) -> None:
+        attempts = max(lease.attempts, lease.deaths, 1)
         self._count("quarantined")
         log.error(
             "sweep: quarantined %s after %d attempt(s) [%s] %s",
             self._describe(lease), attempts, kind, message,
         )
-        if self.journal is not None and lease.key is not None:
-            self.journal.record(
-                lease.key,
-                "quarantined",
-                attempt=attempts,
-                duration_s=0.0,
-                kind=kind,
-                message=message,
-            )
-        if self.on_terminal is not None:
-            self.on_terminal(LeaseResult(
-                index=lease.index,
-                key=lease.key,
-                status="quarantined",
-                outcome=outcomes[lease.index],
-                attempts=attempts,
-                duration_s=0.0,
-                kind=kind,
-                message=message,
-            ))
+        failed = FailedOutcome(
+            spec=lease.spec, kind=kind, attempts=attempts, message=message
+        )
+        self._finish(lease, LeaseResult(
+            lease.index, lease.key, "quarantined", failed, attempts, 0.0,
+            kind=kind, message=message,
+        ), lane)
 
     def _handle_failure(
         self,
         lease: _Lease,
         kind: str,
         exc: BaseException,
-        outcomes: list,
-        *,
-        retry: Callable[[_Lease, float], None],
+        lane=None,
+        message: Optional[str] = None,
     ) -> None:
         """One failed attempt: retry with backoff, quarantine, or raise."""
         lease.attempts += 1
@@ -683,19 +811,290 @@ class SweepSupervisor:
             self._count("timeouts")
         if lease.attempts >= self.policy.max_attempts:
             if self.policy.quarantine:
-                self._quarantine(lease, kind, exc, outcomes)
+                message = message or f"{type(exc).__name__}: {exc}"
+                self._quarantine(lease, kind, message, lane)
                 return
             raise exc
         self._count("retries")
         if self.journal is not None and lease.key is not None:
             self.journal.record(
-                lease.key,
-                "failed",
+                lease.key, "failed",
                 attempt=lease.attempts,
                 duration_s=0.0,
                 kind=kind,
             )
-        retry(lease, self._backoff_delay(lease))
+        due = time.monotonic() + self._backoff_delay(lease)
+        heapq.heappush(self._delayed, (due, next(self._ids), lease))
+
+    def _bury(self, lease: _Lease, lane) -> bool:
+        """A worker died under ``lease``; True if the lease should re-run,
+        False once it has ridden ``lease_death_limit`` deaths and is
+        presumed poison."""
+        lease.deaths += 1
+        if (
+            self.policy.quarantine
+            and lease.deaths >= self.policy.lease_death_limit
+        ):
+            self._quarantine(lease, "pool_death", "", lane)
+            return False
+        return True
+
+    # -- lane events -------------------------------------------------------
+
+    def _send(self, lane, shard: _Shard) -> None:
+        from repro.core.distributed import TransportError
+
+        try:
+            lane.send_shard(
+                shard.id,
+                [lease.spec for lease in shard.leases],
+                [lease.key for lease in shard.leases],
+                self.policy.timeout_s,
+            )
+        except TransportError as exc:
+            self._queue.appendleft(shard)
+            self._lost(lane, exc)
+            return
+        lane.start(shard, time.monotonic())
+        self._count("shards")
+        self._count("leases_sent", len(shard.leases))
+        if not lane.remote:
+            process_registry().counter("pool.tasks_dispatched").inc(
+                len(shard.leases)
+            )
+
+    def _receive(self, lane) -> bool:
+        """Handle one message from a busy lane; False when there was
+        none (or the lane is no longer busy)."""
+        from repro.core.distributed import TransportError
+
+        if lane.shard is None or lane not in self._lanes:
+            return False
+        try:
+            msg = lane.recv(self.io_timeout_s)
+        except TransportError as exc:
+            self._lost(lane, exc)
+            return False
+        if msg is None:
+            return False
+        lane.heard = time.monotonic()
+        shard = lane.shard
+        kind = msg.get("t")
+        if kind == "lease" and msg.get("shard") == shard.id:
+            self._on_lease(lane, msg)
+        elif kind == "shard_done" and msg.get("id") == shard.id:
+            # Leases left open here had undecodable payloads (or a buggy
+            # worker skipped them): the idempotent remedy is re-dispatch.
+            self._requeue(lane.unfinished())
+        elif kind == "shard_failed" and msg.get("id") == shard.id:
+            raise RuntimeError(
+                f"distributed sweep failed: {lane.label}: {msg.get('error')}"
+            )
+        return True
+
+    def _on_lease(self, lane, msg: dict) -> None:
+        from repro.core.distributed import lease_error, lease_payload
+
+        position = msg.get("index")
+        if position not in lane.open:
+            return
+        lease = lane.shard.leases[position]
+        lane.next, lane.started = position + 1, time.monotonic()
+        if msg.get("status") != "done":
+            lane.open.discard(position)
+            kind = msg.get("kind") or "error"
+            if kind == "pool_death":
+                if self._bury(lease, lane):
+                    self._requeue([lease])
+                return
+            if not lane.remote:
+                process_registry().counter("pool.tasks_failed").inc()
+            self._handle_failure(
+                lease, kind, lease_error(msg), lane, msg.get("message")
+            )
+            return
+        store = (
+            self.journal.payload_store(lease.spec)
+            if self.journal is not None
+            else self._codec
+        )
+        try:
+            outcome, entry = lease_payload(msg, lease.spec, lease.key, store)
+        except Exception as exc:  # noqa: BLE001 - a lost lease, re-run
+            log.warning(
+                "dispatch: undecodable lease payload from %s (%s); "
+                "the lease will re-run", lane.label, exc,
+            )
+            return
+        lane.open.discard(position)
+        pid = msg.get("pid")
+        if not lane.remote:
+            registry = process_registry()
+            registry.gauge("pool.worker.asset_encodes", pid=pid).set(
+                msg.get("misses", 0)
+            )
+            registry.gauge("pool.worker.asset_hits", pid=pid).set(
+                msg.get("hits", 0)
+            )
+        self._succeed(
+            lease, outcome,
+            duration_s=float(msg.get("duration", 0.0)),
+            pid=pid,
+            lane=lane,
+            entry=entry,
+        )
+
+    def _lost(self, lane, exc: BaseException) -> None:
+        """A lane died: re-dispatch what it left unfinished."""
+        # A local worker runs its shard in order: the lease it was on is
+        # the suspect, the rest of its shard never started.
+        suspect = None if lane.remote else lane.current()
+        leftovers = lane.unfinished()
+        self._count("worker_deaths")
+        log.warning(
+            "dispatch: lost %s (%s); re-dispatching %d unfinished lease(s)",
+            lane.label, exc, len(leftovers),
+        )
+        if lane.remote:
+            lane.close()
+            self._lanes.remove(lane)
+            self._requeue(leftovers)
+            if not any(other.remote for other in self._lanes):
+                self._fall_back(
+                    sum(len(s.leases) for s in self._queue)
+                    + len(self._delayed)
+                )
+            return
+        self._requeue([
+            lease for lease in leftovers
+            if lease is not suspect or self._bury(lease, lane)
+        ])
+        self._deaths += 1
+        if self._deaths > self.policy.max_pool_respawns:
+            self._degrade()
+        else:
+            self._count("pool_respawns")
+            self._replace(lane)
+
+    def _degrade(self) -> None:
+        self._count("serial_degradations")
+        log.error(
+            "sweep: %d consecutive local worker deaths exceed "
+            "max_pool_respawns=%d — degrading to in-process execution "
+            "for the remaining lease(s)",
+            self._deaths, self.policy.max_pool_respawns,
+        )
+        for lane in self._lanes:
+            self._requeue(lane.unfinished())
+            self._pool.kill(lane)
+        self._lanes = []
+
+    def _time_out(self, lane) -> None:
+        """The local worker's lease outlived ``timeout_s``: kill the
+        worker; its lease failed an attempt, the rest of the shard is
+        innocent and re-dispatched."""
+        lease = lane.current()
+        leftovers = [left for left in lane.unfinished() if left is not lease]
+        self._count("pool_respawns")
+        self._replace(lane)
+        self._requeue(leftovers)
+        self._handle_failure(lease, "timeout", SpecTimeout(
+            f"{self._describe(lease)} exceeded "
+            f"{self.policy.timeout_s:.1f} s"
+        ))
+
+    def _deadline(self, lane) -> Optional[float]:
+        if lane.remote:
+            return lane.heard + self.io_timeout_s
+        if self.policy.timeout_s is not None and lane.current() is not None:
+            return lane.started + self.policy.timeout_s
+        return None
+
+    def _run_here(self, shard: _Shard) -> None:
+        """The in-process lane: call the task directly."""
+        for lease in shard.leases:
+            started = time.monotonic()
+            try:
+                outcome, pid, _, _ = self.task(lease.spec)
+            except Exception as exc:  # noqa: BLE001 - policy decides
+                self._handle_failure(lease, "error", exc)
+                continue
+            self._succeed(
+                lease, outcome, duration_s=time.monotonic() - started, pid=pid
+            )
+
+    # -- the loop ----------------------------------------------------------
+
+    def _wait(self, busy: list) -> list:
+        """Block until a busy lane may have a message or a deadline
+        passes; the lanes worth a receive."""
+        from repro.core.distributed import SpoolChannel
+
+        horizons = [self._deadline(lane) for lane in busy]
+        if self._delayed:
+            horizons.append(self._delayed[0][0])
+        horizons = [h for h in horizons if h is not None]
+        wait_s = (
+            max(0.0, min(horizons) - time.monotonic()) if horizons else None
+        )
+        sockets = [lane for lane in busy if not lane.polled]
+        spools = [lane for lane in busy if lane.polled]
+        if spools:
+            wait_s = (
+                SpoolChannel.POLL_S
+                if wait_s is None
+                else min(wait_s, SpoolChannel.POLL_S)
+            )
+        if not sockets:
+            time.sleep(wait_s or 0.0)
+            return spools
+        # poll(), not select(): no limit on descriptor numbers.
+        poller = select.poll()
+        for lane in sockets:
+            poller.register(lane.fileno(), select.POLLIN)
+        ready = {fd for fd, _ in poller.poll(
+            None if wait_s is None else wait_s * 1e3
+        )}
+        return [lane for lane in sockets if lane.fileno() in ready] + spools
+
+    def _busy(self) -> list:
+        return [lane for lane in self._lanes if lane.shard is not None]
+
+    def _loop(self) -> None:
+        while self._queue or self._delayed or self._busy():
+            now = time.monotonic()
+            while self._delayed and self._delayed[0][0] <= now:
+                self._enqueue([heapq.heappop(self._delayed)[2]])
+            if not self._lanes and self._queue:
+                self._run_here(self._queue.popleft())
+                continue
+            for lane in list(self._lanes):
+                if self._queue and lane.shard is None and lane in self._lanes:
+                    self._send(lane, self._queue.popleft())
+            busy = self._busy()
+            if not busy:  # nothing runs until a retry is due
+                if self._delayed:
+                    time.sleep(
+                        max(0.0, self._delayed[0][0] - time.monotonic())
+                    )
+                continue
+            for lane in self._wait(busy):
+                # A socket has a frame ready; a spool may hold several.
+                while self._receive(lane) and lane.polled:
+                    pass
+            now = time.monotonic()
+            for lane in list(self._lanes):
+                deadline = None if lane.shard is None else self._deadline(lane)
+                if deadline is None or now < deadline:
+                    continue
+                if lane.remote:
+                    from repro.core.distributed import TransportError
+
+                    self._lost(lane, TransportError(
+                        f"{lane.label}: silent past {self.io_timeout_s:.0f} s"
+                    ))
+                else:
+                    self._time_out(lane)
 
     # -- entry point -------------------------------------------------------
 
@@ -703,206 +1102,62 @@ class SweepSupervisor:
         self,
         specs: Sequence["RunSpec"],
         *,
-        order: Optional[Sequence[int]] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
     ) -> list:
-        """Execute every spec under supervision; outcomes in spec order.
+        """Execute every spec; outcomes in spec order.
 
-        ``order`` (indices into ``specs``) sets worker submission order
-        — ``execute`` passes its catalogue-locality plan — and never
-        affects the returned order.  ``keys`` are the specs' lease keys
-        when the caller has computed them already.
+        ``keys`` are the specs' lease keys when the caller has computed
+        them already.
         """
-        outcomes: list = [None] * len(specs)
-        pending = resume_leases(specs, keys, self.journal, outcomes)
-        self.stats.resumed_skips += len(specs) - len(pending)
-        if not pending:
+        from repro.core.run import _plan_chunks
+
+        outcomes = self._outcomes = [None] * len(specs)
+        leases = resume_leases(specs, keys, self.journal, outcomes)
+        self.stats.resumed_skips += len(specs) - len(leases)
+        if not leases:
             return outcomes
-        if self.workers <= 0:
-            self._run_serial(pending, outcomes)
-        else:
-            submit_order = pending
-            if order is not None:
-                by_index = {lease.index: lease for lease in pending}
-                submit_order = [
-                    by_index[i] for i in order if i in by_index
-                ]
-            self._run_pool(submit_order, outcomes)
+        self._queue.clear()  # whatever a run that raised left behind
+        self._delayed.clear()
+        try:
+            if self.hosts:
+                self._lanes = self._connect_all()
+                if not self._lanes:
+                    self._fall_back(len(leases))
+            else:
+                self._lanes = self._local_lanes()
+            chunks = _plan_chunks(
+                [lease.spec for lease in leases], max(1, len(self._lanes))
+            )
+            for chunk in chunks:
+                self._enqueue([leases[i] for i in chunk])
+            if self.journal is None:
+                self._loop()
+            else:
+                with self.journal.batched(JOURNAL_FLUSH_EVERY):
+                    self._loop()
+        finally:
+            self._release()
         return outcomes
 
-    # -- serial (workers=0, and the degradation target) --------------------
 
-    def _run_serial(
-        self, pending: Sequence[_Lease], outcomes: list
-    ) -> None:
-        def retry(lease: _Lease, delay: float) -> None:
-            self.sleep(delay)
+class SweepSupervisor(SweepCoordinator):
+    """The sweep loop on this machine alone: ``workers`` forked local
+    workers, or with ``workers=0`` this process."""
 
-        for lease in sorted(pending, key=lambda lease: lease.index):
-            while outcomes[lease.index] is None:
-                started = self.clock()
-                try:
-                    payload = self.task(lease.spec)
-                except Exception as exc:  # noqa: BLE001 - policy decides
-                    self._handle_failure(
-                        lease, "error", exc, outcomes, retry=retry
-                    )
-                    continue
-                self._record_success(
-                    lease, payload, outcomes, self.clock() - started
-                )
-
-    # -- pooled ------------------------------------------------------------
-
-    def _run_pool(
-        self, submit_order: Sequence[_Lease], outcomes: list
-    ) -> None:
-        from repro.core.pool import worker_pool
-
-        policy = self.policy
-        pool = worker_pool(self.workers)
-        queue: deque[_Lease] = deque(submit_order)
-        delayed: list[tuple[float, int, _Lease]] = []  # backoff heap
-        active: dict = {}  # future -> lease
-        consecutive_deaths = 0
-        sequence = 0
-
-        def retry(lease: _Lease, delay: float) -> None:
-            nonlocal sequence
-            sequence += 1
-            heapq.heappush(delayed, (self.clock() + delay, sequence, lease))
-
-        def requeue_victim(lease: _Lease) -> None:
-            """A lease whose worker died under it: re-run, unless it has
-            now ridden too many deaths to be presumed innocent."""
-            lease.deaths += 1
-            if policy.quarantine and lease.deaths >= policy.lease_death_limit:
-                self._quarantine(lease, "pool_death", None, outcomes)
-            else:
-                queue.append(lease)
-
-        def handle_pool_death() -> bool:
-            """Salvage, respawn (or degrade).  True = keep pooling."""
-            nonlocal consecutive_deaths, pool
-            consecutive_deaths += 1
-            victims = list(active.values())
-            active.clear()
-            log.warning(
-                "sweep: worker pool died with %d lease(s) in flight "
-                "(consecutive death %d); completed results salvaged",
-                len(victims), consecutive_deaths,
-            )
-            for lease in victims:
-                requeue_victim(lease)
-            if consecutive_deaths > policy.max_pool_respawns:
-                self._count("serial_degradations")
-                log.error(
-                    "sweep: %d consecutive pool deaths exceed "
-                    "max_pool_respawns=%d — degrading to in-process "
-                    "serial execution for the %d remaining lease(s)",
-                    consecutive_deaths, policy.max_pool_respawns,
-                    len(queue) + len(delayed),
-                )
-                remaining = list(queue) + [entry[2] for entry in delayed]
-                queue.clear()
-                delayed.clear()
-                self._run_serial(remaining, outcomes)
-                return False
-            self._count("pool_respawns")
-            pool.respawn()
-            return True
-
-        while queue or delayed or active:
-            if pool.closed:  # external close_worker_pool() raced us
-                pool = worker_pool(self.workers)
-            now = self.clock()
-            while delayed and delayed[0][0] <= now:
-                queue.append(heapq.heappop(delayed)[2])
-            pool_broke = False
-            while queue and len(active) < self.workers:
-                lease = queue[0]
-                try:
-                    future = pool.submit(self.task, lease.spec)
-                except BrokenProcessPool:
-                    pool_broke = True
-                    break
-                queue.popleft()
-                lease.started_at = self.clock()
-                lease.deadline = (
-                    lease.started_at + policy.timeout_s
-                    if policy.timeout_s is not None
-                    else None
-                )
-                active[future] = lease
-            if pool_broke:
-                if not handle_pool_death():
-                    return
-                continue
-            if not active:
-                if delayed:
-                    self.sleep(max(0.0, delayed[0][0] - self.clock()))
-                continue
-            horizons = [
-                lease.deadline
-                for lease in active.values()
-                if lease.deadline is not None
-            ]
-            if delayed:
-                horizons.append(delayed[0][0])
-            wait_s = (
-                max(0.0, min(horizons) - self.clock()) if horizons else None
-            )
-            done, _ = wait(
-                set(active), timeout=wait_s, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                lease = active.pop(future)
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    pool_broke = True
-                    active[future] = lease  # a victim; salvaged below
-                except Exception as exc:  # noqa: BLE001 - policy decides
-                    pool.note_task_failure()
-                    self._handle_failure(
-                        lease, "error", exc, outcomes, retry=retry
-                    )
-                else:
-                    self._record_success(
-                        lease, payload, outcomes,
-                        self.clock() - lease.started_at,
-                    )
-                    consecutive_deaths = 0
-            if pool_broke:
-                if not handle_pool_death():
-                    return
-                continue
-            now = self.clock()
-            expired = [
-                (future, lease)
-                for future, lease in active.items()
-                if lease.deadline is not None
-                and lease.deadline <= now
-                and not future.done()
-            ]
-            if expired:
-                # A hung worker cannot be preempted from here: the only
-                # clean remedy is a pool respawn, which also costs the
-                # innocent in-flight leases their (idempotent) work.
-                for future, lease in expired:
-                    active.pop(future)
-                    self._handle_failure(
-                        lease,
-                        "timeout",
-                        SpecTimeout(
-                            f"{self._describe(lease)} exceeded "
-                            f"{policy.timeout_s:.1f} s"
-                        ),
-                        outcomes,
-                        retry=retry,
-                    )
-                for lease in active.values():
-                    queue.append(lease)
-                active.clear()
-                self._count("pool_respawns")
-                pool.respawn(kill_workers=True)
+    def __init__(
+        self,
+        workers: int = 0,
+        *,
+        policy: Optional[SweepPolicy] = None,
+        journal: Optional[SweepJournal] = None,
+        task: Callable = _lease_task,
+        on_terminal: Optional[Callable[[LeaseResult], None]] = None,
+    ):
+        super().__init__(
+            (),
+            policy=policy,
+            journal=journal,
+            local_workers=workers,
+            task=task,
+            on_terminal=on_terminal,
+        )

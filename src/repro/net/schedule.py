@@ -116,8 +116,8 @@ class TraceSchedule:
         # (the old last-hit cache stopped at every 1 s boundary and its
         # mutable slots were a stampede hazard when one frozen schedule
         # is probed from interleaved horizon scans).  Stored on the
-        # instance, not as a field: equality, repr and pickling see only
-        # the data.
+        # instance, not as a field: equality and repr see only the data,
+        # and ``__reduce__`` pickles only the data and rebuilds the table.
         samples = self.samples_bps
         n = len(samples)
         object.__setattr__(
@@ -125,6 +125,9 @@ class TraceSchedule:
             "_change_indices",
             tuple(k for k in range(n) if samples[k] != samples[k - 1]),
         )
+
+    def __reduce__(self):
+        return type(self), (self.samples_bps, self.sample_interval_s)
 
     @classmethod
     def from_samples(cls, samples: Sequence[float], interval_s: float = 1.0):

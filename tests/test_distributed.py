@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -231,6 +232,35 @@ def test_hosts_cache_and_journal_write_each_payload_once(
     check_cache_and_journal(tmp_path, _specs(), hosts=[worker.host])
 
 
+def test_hosts_cache_without_journal_pickles_each_outcome_once(
+    live_workers, tmp_path, monkeypatch
+):
+    # The worker encodes each entry for the wire and the loop stores
+    # those bytes in the cache: one pickle per lease, in the worker.
+    from repro.core.outcome_cache import OutcomeCache
+    from repro.obs.metrics import process_registry
+
+    baseline = _baseline()
+    (worker,) = live_workers(1)
+    original = OutcomeCache.encode_entry
+    encodes: list[threading.Thread] = []
+
+    def counting_encode_entry(self, spec, outcome, *, key):
+        encodes.append(threading.current_thread())
+        return original(self, spec, outcome, key=key)
+
+    monkeypatch.setattr(OutcomeCache, "encode_entry", counting_encode_entry)
+    puts = process_registry().counter("outcome_cache.puts")
+    before = puts.value
+    outcomes = execute(
+        _specs(), hosts=[worker.host], cache=tmp_path / "cache"
+    )
+    assert outcomes == baseline
+    assert len(encodes) == 3
+    assert all(thread is worker.thread for thread in encodes)
+    assert puts.value - before == 3
+
+
 def test_execute_refuses_keep_results_with_hosts():
     with pytest.raises(ValueError, match="keep_results"):
         execute(_specs(profiles=(5,)), hosts=["127.0.0.1:1"],
@@ -302,6 +332,66 @@ def test_shard_whose_keys_do_not_match_its_specs_fails(live_workers):
         channel.send({"t": "bye", "session": "s1"})
         channel.close()
     assert worker.worker.leases_run == 0
+
+
+def _hang_on_profile_9(spec):
+    """Hang on the poison spec until the worker running it is killed."""
+    if spec.profile_id == 9:
+        time.sleep(600)
+    return _lease_task(spec)
+
+
+def test_worker_with_local_workers_streams_typed_results(tmp_path):
+    # A daemon serving with --workers N runs its shard through the sweep
+    # loop over its own forked workers, with a one-attempt policy that
+    # carries the sender's timeout: the hung lease comes back a typed
+    # failure, the others as outcomes, and nothing is retried there.
+    # Driven on a socket pair from this thread: the messages queue in
+    # the socket buffers.
+    import socket as socket_module
+
+    from repro.core.distributed import (
+        PROTOCOL_VERSION,
+        SocketChannel,
+        _pack,
+        lease_payload,
+    )
+    from repro.core.outcome_cache import OutcomeCache, code_fingerprint
+
+    specs = _specs(profiles=(1, 5, 9))
+    keys = [lease_key(spec) for spec in specs]
+    ours, theirs = socket_module.socketpair()
+    channel = SocketChannel(ours)
+    for msg in (
+        {"t": "hello", "version": PROTOCOL_VERSION, "session": "s1",
+         "code": code_fingerprint()},
+        {"t": "shard", "session": "s1", "id": 0, "specs": _pack(specs),
+         "keys": keys, "timeout_s": 1.0},
+        {"t": "bye", "session": "s1"},
+    ):
+        channel.send(msg)
+    worker = SweepWorker(2, task=_hang_on_profile_9)
+    try:
+        worker.handle_channel(SocketChannel(theirs))
+        replies = []
+        while not replies or replies[-1]["t"] != "shard_done":
+            replies.append(channel.recv(timeout=5.0))
+    finally:
+        ours.close()
+        theirs.close()
+    assert replies[0]["t"] == "welcome" and replies[0]["workers"] == 2
+    leases = {msg["index"]: msg for msg in replies if msg["t"] == "lease"}
+    assert sorted(leases) == [0, 1, 2]
+    assert leases[2]["status"] == "failed"
+    assert leases[2]["kind"] == "timeout"
+    codec = OutcomeCache(tmp_path)
+    for index in (0, 1):
+        outcome, entry = lease_payload(
+            leases[index], specs[index], keys[index], codec
+        )
+        assert entry is not None
+        assert outcome == _baseline()[index]
+    assert worker.leases_run == 3
 
 
 # ---------------------------------------------------------------------------

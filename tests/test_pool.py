@@ -1,9 +1,10 @@
-"""Sweep-fabric layer 1: the persistent worker pool.
+"""Sweep-fabric layer 1: local workers, reused across sweeps.
 
-The pool changes *where* runs execute, never what they produce: cold
-pool, warm pool, re-created pool and in-process execution must all
-compare ``==``.  The pool must also survive worker-side task
-exceptions and be safely re-creatable after ``close()``.
+Local workers change *where* runs execute, never what they produce:
+cold workers, warm workers, re-created workers and in-process
+execution must all compare ``==``.  The workers must also survive
+leases that raise, be respawned after a death, and be safely
+re-creatable after ``close_worker_pool()``.
 
 Also covers the single-flight guarantee of the asset-encode cache
 (:mod:`repro.media.cache`): concurrent sessions in one process never
@@ -16,28 +17,32 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.parallel import RunSpec, catalogue_key, sweep_grid
 from repro.core.pool import (
-    WorkerPool,
+    LocalPool,
     active_worker_pool,
     close_worker_pool,
-    worker_pool,
+    local_pool,
 )
 from repro.core.run import execute
-from repro.media.cache import AssetCache, asset_cache
+from repro.core.supervisor import (
+    FailedOutcome,
+    SweepPolicy,
+    SweepSupervisor,
+    _lease_task,
+)
+from repro.media.cache import AssetCache, asset_cache, clear_asset_cache
 from repro.obs.metrics import process_registry
-from repro.services import get_service
 
 DURATION_S = 25.0
 
 
 @pytest.fixture(autouse=True)
 def _fresh_pool():
-    """Each test starts and ends without a live process-wide pool."""
+    """Each test starts and ends without live local workers."""
     close_worker_pool()
     yield
     close_worker_pool()
@@ -47,190 +52,205 @@ def _grid(services=("H1", "S1"), profiles=(2, 9)):
     return sweep_grid(services, profiles, duration_s=DURATION_S)
 
 
-def _square(x):
-    return x * x
+def _pids(pool):
+    return [lane.pid for lane in pool.lanes]
 
 
-def _boom(x):
-    raise RuntimeError(f"worker task failed on {x}")
+def _counter(name):
+    return process_registry().counter(name).value
 
 
-def _suicide(x):
-    os.kill(os.getpid(), signal.SIGKILL)
+def _gauges(name, pids):
+    """A process-registry gauge's values for the given worker pids."""
+    wanted = {(("pid", str(pid)),) for pid in pids}
+    return {
+        labels: value
+        for gauge, labels, value in process_registry().snapshot().gauges
+        if gauge == name and labels in wanted
+    }
 
 
-def _encode_delta(args):
-    """Worker-side: encode a catalogue, report how many misses it cost."""
-    service, duration_s, content_seed = args
-    cache = asset_cache()
-    before = cache.misses
-    get_service(service).encode_asset(duration_s, content_seed)
-    return cache.misses - before
+def _fail_on_profile_5(spec):
+    """Raise on one spec, run the rest: a lease failure inside a worker."""
+    if spec.profile_id == 5:
+        raise RuntimeError(f"worker task failed on {spec.profile_id}")
+    return _lease_task(spec)
+
+
+def _report_pid(spec):
+    return (("ran in", os.getpid()), os.getpid(), 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# Pool lifecycle
+# Worker lifecycle
 # ---------------------------------------------------------------------------
-
-
-def _submit_all(pool, fn, items):
-    """Submit each item and collect the results in order."""
-    futures = [pool.submit(fn, item) for item in items]
-    return [future.result(timeout=30) for future in futures]
 
 
 def test_worker_pool_is_reused_across_calls():
-    first = worker_pool(2)
-    assert worker_pool(2) is first
-    assert active_worker_pool() is first
-    assert _submit_all(first, _square, [1, 2, 3]) == [1, 4, 9]
-    assert worker_pool(2) is first
-    assert _submit_all(first, _square, [4]) == [16]
-    assert first.tasks_dispatched == 4
+    specs = _grid()
+    first = execute(specs, workers=2)
+    pool = active_worker_pool()
+    pids = _pids(pool)
+    spawns = _counter("pool.spawns")
+    assert execute(specs, workers=2) == first
+    assert active_worker_pool() is pool
+    assert _pids(pool) == pids  # the same processes served both sweeps
+    assert _counter("pool.spawns") == spawns
 
 
 def test_worker_pool_recreated_on_count_change_and_close():
-    first = worker_pool(2)
-    second = worker_pool(3)
-    assert second is not first
-    assert first.closed  # superseded pools are shut down
+    specs = _grid(services=("S1",))
+    first = execute(specs, workers=2)
+    two = active_worker_pool()
+    assert execute(specs, workers=3) == first
+    three = active_worker_pool()
+    assert three is not two
+    assert two.closed  # superseded pools are shut down
     close_worker_pool()
-    assert second.closed
+    assert three.closed
     assert active_worker_pool() is None
-    third = worker_pool(3)
-    assert third is not second
-    assert third.submit(_square, 5).result(timeout=30) == 25
+    assert execute(specs, workers=3) == first
+    assert active_worker_pool() not in (two, three)
 
 
 def test_closed_pool_refuses_map_and_close_is_idempotent():
-    # Submission is the pool's one dispatch path; a closed pool
-    # refuses it, and closing twice is harmless.
-    pool = WorkerPool(1)
+    # A closed pool's workers are gone, closing twice is harmless, and
+    # the process-wide accessor never hands a closed pool out again.
+    pool = local_pool(1)
+    lane = pool.lanes[0]
     pool.close()
     pool.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.submit(_square, 1)
-    assert pool.tasks_dispatched == 0
+    assert pool.closed
+    assert not pool.alive(lane)
+    fresh = local_pool(1)
+    assert fresh is not pool
+    assert fresh.lanes[0].pid != lane.pid
+    with pytest.raises(ValueError, match="workers"):
+        LocalPool(0)
 
 
 def test_pool_survives_worker_side_exception():
-    pool = worker_pool(2)
-    with pytest.raises(RuntimeError, match="worker task failed"):
-        _submit_all(pool, _boom, [1, 2])
-    assert not pool.closed
-    # The same pool object keeps serving tasks and full sweeps.
-    assert _submit_all(pool, _square, [3]) == [9]
-    outcomes = execute(_grid(services=("H1",), profiles=(2,)) * 2, workers=2)
-    assert outcomes[0] == outcomes[1]
-    assert worker_pool(2) is pool
+    # A raising lease comes back typed from the worker that ran it, and
+    # that worker stays up: the same processes serve the next sweep.
+    specs = _grid(services=("H1",), profiles=(1, 5, 9))
+    oracle = execute(specs, workers=0)
+    sup = SweepSupervisor(
+        2, policy=SweepPolicy(quarantine=True), task=_fail_on_profile_5
+    )
+    outcomes = sup.run(specs)
+    assert isinstance(outcomes[1], FailedOutcome)
+    assert outcomes[1].kind == "error"
+    assert "worker task failed on 5" in outcomes[1].message
+    assert [outcomes[0], outcomes[2]] == [oracle[0], oracle[2]]
+    pool = active_worker_pool()
+    pids = _pids(pool)
+    respawns = _counter("pool.respawns")
+    assert sup.run(specs) == outcomes
+    assert active_worker_pool() is pool
+    assert _pids(pool) == pids
+    assert _counter("pool.respawns") == respawns
+    # Without quarantine the worker's own exception reaches the caller.
+    with pytest.raises(RuntimeError, match="worker task failed on 5"):
+        SweepSupervisor(2, task=_fail_on_profile_5).run(specs)
 
 
 def test_pool_spawn_counter_lands_in_process_registry():
-    before = process_registry().counter("pool.spawns").value
-    worker_pool(2)
-    worker_pool(2)  # reused: no new spawn
-    assert process_registry().counter("pool.spawns").value == before + 1
+    before = _counter("pool.spawns")
+    execute(_grid(), workers=2)
+    assert _counter("pool.spawns") == before + 2  # one per worker
+    execute(_grid(), workers=2)  # reused: no new spawn
+    assert _counter("pool.spawns") == before + 2
 
 
-def test_warm_keys_pre_encode_catalogues_in_workers():
-    # A catalogue key nothing else in the suite uses, so neither the
-    # parent (via fork inheritance) nor a previous task warmed it.
-    warm = ("H1", 23.0, 7707)
-    pool = WorkerPool(1, warm_keys=(warm,))
-    try:
-        # The initializer already paid the encode: the task sees a hit.
-        assert _submit_all(pool, _encode_delta, [warm]) == [0]
-        # An un-warmed catalogue still costs that worker one encode.
-        assert _submit_all(pool, _encode_delta, [("H1", 23.0, 7708)]) == [1]
-    finally:
-        pool.close()
+def test_forked_workers_inherit_the_parents_catalogues():
+    # A catalogue key nothing else in the suite uses, encoded in the
+    # parent before the worker is forked: the worker finds it warm.
+    clear_asset_cache()
+    warm = [RunSpec(service="H1", profile_id=p, duration_s=23.0,
+                    content_seed=7707) for p in (2, 9)]
+    cold = [RunSpec(service="H1", profile_id=p, duration_s=23.0,
+                    content_seed=7708) for p in (2, 9)]
+    warm[0].build()
+    outcomes = execute(warm + cold, workers=1)
+    assert outcomes == execute(warm + cold, workers=0)
+    (pid,) = _pids(active_worker_pool())
+    # Only the un-warmed catalogue cost the worker an encode.
+    assert list(_gauges("pool.worker.asset_encodes", [pid]).values()) == [1]
+
+
+def test_injected_task_reaches_the_local_workers():
+    specs = _grid()
+    outcomes = SweepSupervisor(2, task=_report_pid).run(specs)
+    pids = set(_pids(active_worker_pool()))
+    ran_in = {outcome[1] for outcome in outcomes}
+    assert ran_in <= pids
+    assert os.getpid() not in ran_in
 
 
 # ---------------------------------------------------------------------------
-# Future-per-task submit, failure accounting, respawn
+# Failure accounting and respawn
 # ---------------------------------------------------------------------------
 
 
-class _BrokenAtSubmitExecutor:
-    """Stub executor whose every dispatch reports a dead pool."""
-
-    def submit(self, fn, item):
-        raise BrokenProcessPool("stub: pool is dead")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_submit_returns_future_and_counts_dispatch():
-    pool = worker_pool(1)
-    before = process_registry().counter("pool.tasks_dispatched").value
-    future = pool.submit(_square, 7)
-    assert future.result(timeout=30) == 49
-    assert pool.tasks_dispatched == 1
-    assert process_registry().counter("pool.tasks_dispatched").value == (
-        before + 1
-    )
-    pool.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.submit(_square, 1)
-
-
-def test_submit_delivers_task_exception_on_future_pool_stays_alive():
-    pool = worker_pool(1)
-    future = pool.submit(_boom, 3)
-    with pytest.raises(RuntimeError, match="worker task failed"):
-        future.result(timeout=30)
-    assert not pool.closed
-    assert pool.submit(_square, 3).result(timeout=30) == 9
+def test_leases_sent_to_local_workers_count_as_dispatched():
+    specs = _grid()
+    before = _counter("pool.tasks_dispatched")
+    execute(specs, workers=2)
+    assert _counter("pool.tasks_dispatched") == before + len(specs)
+    execute(specs, workers=0)  # in process: nothing is dispatched
+    assert _counter("pool.tasks_dispatched") == before + len(specs)
 
 
 def test_note_task_failure_counts_in_process_registry():
-    pool = worker_pool(1)
-    before = process_registry().counter("pool.tasks_failed").value
-    pool.note_task_failure()
-    pool.note_task_failure()
-    assert pool.tasks_failed == 2
-    assert process_registry().counter("pool.tasks_failed").value == before + 2
-
-
-def test_submit_that_dies_at_submission_reports_zero_dispatches():
-    # Tasks are counted only once actually handed to the executor, so
-    # a submit that breaks at submission time reports no dispatch.
-    pool = WorkerPool(1)
-    pool._executor.shutdown(wait=True, cancel_futures=True)
-    pool._executor = _BrokenAtSubmitExecutor()
-    before = process_registry().counter("pool.tasks_dispatched").value
-    for item in (1, 2, 3):
-        with pytest.raises(BrokenProcessPool):
-            pool.submit(_square, item)
-    assert pool.tasks_dispatched == 0
-    assert process_registry().counter("pool.tasks_dispatched").value == before
-    # The pool object stays open: the supervisor revives it in place.
-    assert not pool.closed
-    pool.respawn()
-    try:
-        assert pool.submit(_square, 4).result(timeout=30) == 16
-        assert pool.tasks_dispatched == 1
-    finally:
-        pool.close()
+    before = _counter("pool.tasks_failed")
+    sup = SweepSupervisor(
+        2, policy=SweepPolicy(quarantine=True), task=_fail_on_profile_5
+    )
+    sup.run(_grid(services=("H1",), profiles=(1, 5, 9)))
+    assert _counter("pool.tasks_failed") == before + 1
+    assert sup.stats.quarantined == 1
 
 
 def test_respawn_revives_pool_after_worker_death():
-    pool = worker_pool(1)
-    before = process_registry().counter("pool.respawns").value
-    future = pool.submit(_suicide, 0)
-    with pytest.raises(BrokenProcessPool):
-        future.result(timeout=30)
-    # The executor is broken, but the pool object survives respawn.
-    pool.respawn()
-    assert not pool.closed
-    assert pool.respawns == 1
-    assert process_registry().counter("pool.respawns").value == before + 1
-    assert pool.submit(_square, 6).result(timeout=30) == 36
+    specs = _grid()
+    first = execute(specs, workers=2)
+    pool = active_worker_pool()
+    victim = pool.lanes[0].pid
+    before = _counter("pool.respawns")
+    os.kill(victim, signal.SIGKILL)
+    # The next sweep finds the worker dead and respawns it in place.
+    assert execute(specs, workers=2) == first
     assert active_worker_pool() is pool  # same process-wide identity
-    pool.close()
-    with pytest.raises(RuntimeError, match="closed"):
-        pool.respawn()
+    assert _counter("pool.respawns") == before + 1
+    assert victim not in _pids(pool)
+    assert all(pool.alive(lane) for lane in pool.lanes)
+
+
+def test_local_workers_ship_the_entries_the_cache_stores(
+    tmp_path, monkeypatch
+):
+    # Workers encode each outcome's cache entry; the parent stores the
+    # bytes as they arrive and pickles nothing itself.
+    from repro.core.outcome_cache import OutcomeCache
+
+    specs = _grid()
+    oracle = execute(specs, workers=0)
+    execute(_grid(services=("D2",)), workers=2)  # workers spawn here
+    original = OutcomeCache.encode_entry
+    encodes: list = []
+
+    def counting_encode_entry(self, spec, outcome, *, key):
+        encodes.append(spec)
+        return original(self, spec, outcome, key=key)
+
+    monkeypatch.setattr(OutcomeCache, "encode_entry", counting_encode_entry)
+    before = _counter("outcome_cache.puts")
+    cache = OutcomeCache(tmp_path)
+    assert execute(specs, workers=2, cache=cache) == oracle
+    assert encodes == []
+    assert _counter("outcome_cache.puts") == before + len(specs)
+    assert execute(specs, workers=2, cache=cache) == oracle
+    assert cache.hits == len(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +261,9 @@ def test_respawn_revives_pool_after_worker_death():
 def test_repeated_execute_on_warm_pool_is_deterministic():
     specs = _grid()
     serial = execute(specs, workers=0)
-    cold = execute(specs, workers=2)  # pool spawns here
+    cold = execute(specs, workers=2)  # workers spawn here
     pool = active_worker_pool()
-    warm = execute(specs, workers=2)  # same pool, warmed workers
+    warm = execute(specs, workers=2)  # same workers, already warm
     assert active_worker_pool() is pool
     assert cold == serial
     assert warm == serial
@@ -273,7 +293,7 @@ def test_execute_after_close_recreates_pool_with_same_outcomes():
     specs = _grid(services=("S1",), profiles=(2, 5))
     first = execute(specs, workers=2)
     close_worker_pool()
-    second = execute(specs, workers=2)  # fresh pool
+    second = execute(specs, workers=2)  # fresh workers
     assert first == second
 
 
@@ -327,6 +347,18 @@ def test_execute_records_worker_encode_gauges():
     assert rows  # at least one worker reported
     # Two catalogues in the grid: no worker encoded more than both.
     assert all(value <= 2 for _, value in rows)
+
+
+def test_cold_pass_encodes_each_catalogue_once():
+    # Shards are catalogue-pure and a worker runs a whole shard, so a
+    # cold pass over 4 catalogues encodes each in exactly one worker.
+    clear_asset_cache()
+    specs = sweep_grid(["H1", "S1", "D2", "H4"], [1, 3, 5, 7], duration_s=10.0)
+    execute(specs, workers=2)
+    encodes = _gauges(
+        "pool.worker.asset_encodes", _pids(active_worker_pool())
+    )
+    assert sum(encodes.values()) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,9 @@ def test_shims_are_gone():
     import repro.core
     import repro.core.experiment
     import repro.core.parallel
+    import repro.core.pool
     import repro.core.session
     import repro.obs
-    from repro.core.pool import WorkerPool
 
     for module in (repro, repro.core, repro.core.session):
         assert not hasattr(module, "run_session")
@@ -134,7 +134,11 @@ def test_shims_are_gone():
     for module in (repro, repro.core, repro.core.parallel, repro.obs):
         for name in legacy:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(WorkerPool, "map")
+    # The ProcessPoolExecutor pool and its warm keys: local workers are
+    # forked sweep workers, one more lane of the one sweep loop.
+    for name in ("WorkerPool", "worker_pool"):
+        for module in (repro.core, repro.core.pool):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
     for call in (
         lambda: execute([_spec()], profile=True),
         lambda: execute([_spec()], chunksize=4),

@@ -303,3 +303,23 @@ def test_second_cached_pass_over_combinators_is_all_hits(tmp_path):
     second = execute(specs, workers=0, cache=cache)
     assert (cache.misses, cache.hits) == (len(specs), len(specs))
     assert second == first
+
+
+@pytest.mark.parametrize("interval", [1.0, 0.1])
+def test_trace_schedule_pickles_only_its_data(interval):
+    """The change-point table is rebuilt on load, not shipped: every
+    spec, payload and wire frame holding an explicit trace carries the
+    samples alone, and the loaded schedule answers like the original."""
+    from repro.net.traces import TRACE_SEED, profile_schedule
+
+    samples = profile_schedule(9, 600, TRACE_SEED).samples_bps
+    schedule = TraceSchedule.from_samples(samples, interval)
+    data = pickle.dumps(schedule)
+    assert b"_change_indices" not in data
+    assert len(data) < len(pickle.dumps(samples)) + 100
+    loaded = pickle.loads(data)
+    assert loaded == schedule
+    for step in range(2 * len(samples) + 7):
+        t = step * interval * 0.61
+        assert loaded.next_change_at(t) == schedule.next_change_at(t)
+        assert loaded.bandwidth_at(t) == schedule.bandwidth_at(t)

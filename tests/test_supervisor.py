@@ -332,6 +332,41 @@ def test_sweep_key_takes_precomputed_lease_keys():
     assert sweep_key(specs, keys) == sweep_key(specs)
 
 
+def _count_lease_keys(monkeypatch) -> list:
+    """Count lease_key calls wherever the fabric looks it up."""
+    import repro.core.outcome_cache
+    import repro.core.run
+    import repro.core.supervisor
+
+    original = repro.core.outcome_cache.lease_key
+    calls: list = []
+
+    def counting_lease_key(spec):
+        calls.append(spec)
+        return original(spec)
+
+    for module in (
+        repro.core.outcome_cache, repro.core.run, repro.core.supervisor
+    ):
+        if getattr(module, "lease_key", None) is original:
+            monkeypatch.setattr(module, "lease_key", counting_lease_key)
+    return calls
+
+
+def test_only_what_needs_a_key_is_keyed(monkeypatch, tmp_path):
+    profiles = (1, 5, 9, 11)
+    baseline = _baseline(profiles)
+    calls = _count_lease_keys(monkeypatch)
+    # No cache, journal, policy or host: nothing reads a key.
+    assert execute(_specs(profiles), workers=2) == baseline
+    assert SweepSupervisor(0).run(_specs(profiles)) == baseline
+    assert calls == []
+    # A journal to consult keys each spec once.
+    sup = SweepSupervisor(0, journal=SweepJournal(tmp_path))
+    assert sup.run(_specs(profiles)) == baseline
+    assert len(calls) == len(profiles)
+
+
 def test_keep_results_refuses_supervision(tmp_path):
     with pytest.raises(ValueError, match="keep_results"):
         execute(
