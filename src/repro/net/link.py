@@ -9,7 +9,7 @@ shaped queue behave to first order.
 
 from __future__ import annotations
 
-from repro.net.tcp import TcpConnection
+from repro.net.tcp import TcpConnection, TcpConnectionState
 from repro.util import check_non_negative, check_positive
 
 try:  # optional: the fleet layer's vectorized allocator
@@ -18,11 +18,13 @@ except ImportError:  # pragma: no cover - the container bakes numpy in
     _np = None
 
 #: Flow count at which :func:`allocate` switches from the scalar
-#: water-fill to the NumPy one.  Below this the list path is faster
-#: (array round trips dominate); above it the vectorized round masks
-#: win.  Both produce float-for-float identical allocations, so the
-#: threshold is a pure performance knob.
-VECTORIZE_MIN_FLOWS = 24
+#: water-fill to the NumPy one.  Timed per call inside running fleets
+#: (DESIGN.md §4p), a NumPy call costs 20-40 us before it does any
+#: work, against a scalar cost that grows about 0.2 us a flow, so the
+#: list path is faster below a few hundred flows; above them the
+#: vectorized round masks win.  Both produce float-for-float identical
+#: allocations, so the threshold is a pure performance constant.
+VECTORIZE_MIN_FLOWS = 256
 
 
 def water_fill(capacity: float, demands: list[float]) -> list[float]:
@@ -123,6 +125,83 @@ def allocate(capacity: float, demands: list[float]) -> list[float]:
     return water_fill(capacity, demands)
 
 
+_CONNECTING = TcpConnectionState.CONNECTING
+_ESTABLISHED = TcpConnectionState.ESTABLISHED
+
+
+def scan_busy(
+    connections: list[TcpConnection],
+) -> tuple[list[TcpConnection], list[int], list[float]]:
+    """One pass over ``connections``: the busy ones, in order, the
+    positions (in that list) of those not yet in steady transfer, and
+    one demand per busy connection.
+
+    A connection is busy with a transfer or a handshake under way.  A
+    steady one's demand is ``cwnd * 8.0 / rtt``, what ``rate_cap_bps``
+    computes in steady transfer; a pending one's is a placeholder that
+    :func:`plan_tick` fills after its countdowns run.  Reads the
+    connections' fields directly: this runs once per tick or window
+    over every connection of a cell.
+    """
+    busy: list[TcpConnection] = []
+    pending: list[int] = []
+    demands: list[float] = []
+    for connection in connections:
+        if connection._transfer is None:
+            if connection.state is not _CONNECTING:
+                continue
+            pending.append(len(busy))
+            demands.append(0.0)
+        elif (
+            connection.state is _ESTABLISHED
+            and not connection._request_latency_remaining_s > 0
+        ):
+            demands.append(connection.cwnd_bytes * 8.0 / connection.rtt_s)
+        else:
+            pending.append(len(busy))
+            demands.append(0.0)
+        busy.append(connection)
+    return busy, pending, demands
+
+
+def plan_tick(
+    busy: list[TcpConnection], pending: list[int], demands: list[float],
+    capacity: float, dt: float,
+) -> tuple[list[float] | tuple[float], list[tuple]]:
+    """Plan one tick of the shared link: run the pending connections'
+    countdowns, fill in their demands and divide ``capacity``.
+
+    ``demands`` holds the steady connections' demands (from the
+    connections, or from a batched window's locals) and is completed in
+    place.  Returns one allocation per busy connection and the pending
+    connections' countdowns as they were before this tick, so that a
+    window that stops on this tick can put them back.  A single busy
+    connection skips the water-fill call: the allocation collapses to
+    the same min-with-tolerance :func:`water_fill` computes.
+    """
+    saved = []
+    for i in pending:
+        connection = busy[i]
+        saved.append((
+            connection,
+            connection.state,
+            connection._handshake_remaining_s,
+            connection._request_latency_remaining_s,
+        ))
+        connection.advance_control(dt)
+        demands[i] = connection.rate_cap_bps()
+    if len(busy) != 1:
+        # Through the module global, so a wrapper installed on
+        # ``allocate`` sees every call.
+        return allocate(capacity, demands), saved
+    demand = demands[0]
+    if demand <= 0 or capacity <= 1e-12:
+        return (0.0,), saved
+    if demand <= capacity + 1e-12:
+        return (demand,), saved
+    return (capacity,), saved
+
+
 class BottleneckLink:
     """The shared shaped downlink."""
 
@@ -141,36 +220,49 @@ class BottleneckLink:
 
         Only busy connections take part: an idle one's control step is
         a no-op and its demand is 0, which the water-fill never serves,
-        so leaving it out changes no other flow's allocation.
+        so leaving it out changes no other flow's allocation.  The tick
+        is planned by :func:`scan_busy` and :func:`plan_tick`, which a
+        batched window shares, and delivered inline, in busy order, with
+        the float operations of ``TcpConnection.deliver``: ``rate * dt /
+        8``, the ``min`` with the remaining bytes, the completion test
+        and the capped window growth.  Completed transfers come back in
+        busy order.
         """
         check_positive("dt", dt)
-        busy = [connection for connection in connections if connection.busy]
+        busy, pending, demands = scan_busy(connections)
         if not busy:
             return []
-        for connection in busy:
-            connection.advance_control(dt)
-        if len(busy) == 1:
-            # Single connection (every HLS service): skip the list
-            # building and the water-fill call; the allocation collapses
-            # to the same min-with-tolerance water_fill computes.
-            demand = busy[0].rate_cap_bps()
-            if demand <= 0 or self.capacity_bps <= 1e-12:
-                allocations = (0.0,)
-            elif demand <= self.capacity_bps + 1e-12:
-                allocations = (demand,)
-            else:
-                allocations = (self.capacity_bps,)
-        else:
-            demands = [connection.rate_cap_bps() for connection in busy]
-            allocations = allocate(self.capacity_bps, demands)
+        allocations, _ = plan_tick(
+            busy, pending, demands, self.capacity_bps, dt
+        )
         completed = []
+        link_total = self.total_bytes_delivered
         for connection, rate_bps in zip(busy, allocations):
             num_bytes = rate_bps * dt / 8.0
             if num_bytes <= 0:
                 continue
+            transfer = connection._transfer
+            if transfer.first_byte_at is None:
+                transfer.first_byte_at = now
+            total = transfer.total_bytes
+            got = transfer.delivered_bytes
+            # ``min(a, b)`` is ``b if b < a else a``; spelled out, it
+            # skips a builtin call per flow.
+            remaining = total - got
+            delivered = remaining if remaining < num_bytes else num_bytes
+            got += delivered
+            transfer.delivered_bytes = got
             before = connection.total_bytes_received
-            transfer = connection.deliver(num_bytes, now)
-            self.total_bytes_delivered += connection.total_bytes_received - before
-            if transfer is not None:
+            after = before + delivered
+            connection.total_bytes_received = after
+            grown = connection.cwnd_bytes + delivered
+            cap = connection.max_cwnd_bytes
+            connection.cwnd_bytes = cap if cap < grown else grown
+            link_total += after - before
+            if got >= total - 1e-6:
+                transfer.completed_at = now
+                connection._transfer = None
+                connection._idle_since = now
                 completed.append(transfer)
+        self.total_bytes_delivered = link_total
         return completed

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Protocol
 from repro.net.clock import Clock
 from repro.net.faults import TransportFaultPlane
 from repro.net.http import HttpRequest, HttpResponse, ResponsePlan
-from repro.net.link import BottleneckLink, allocate
+from repro.net.link import BottleneckLink, plan_tick, scan_busy
 from repro.net.schedule import BandwidthSchedule
 from repro.net.tcp import TcpConnection, TcpConnectionState, Transfer
 from repro.util import check_non_negative, check_positive
@@ -226,9 +226,12 @@ class Network:
         the serial tick re-runs it identically).  Fault change points
         clamp the window, so dead air neither starts nor stops inside
         it.  Tick start times are read from the clock's timeline, and
-        only on the ticks that use them.  One busy connection runs the
-        single-flow kernel (:meth:`_advance_one_flow`), any other busy
-        set the water-fill walk (:meth:`_advance_flows`).
+        only on the ticks that use them.  One scan of the connections
+        (:func:`~repro.net.link.scan_busy`) finds the busy set; one busy
+        connection runs the single-flow kernel
+        (:meth:`_advance_one_flow`), any other busy set the multi-flow
+        kernel (:meth:`_advance_flows`), which plans its ticks with the
+        serial tick's planner.
 
         Returns ``(ticks_executed, per_tick_radio_activity, reason)``
         where ``reason`` names why the loop returned (one of
@@ -260,14 +263,14 @@ class Network:
         # No transfer starts or ends inside a window, so the busy set is
         # fixed for the call (a handshake that completes without a
         # transfer leaves a connection whose steps stay no-ops).
-        connections = [c for c in self.connections if c.busy]
-        if len(connections) == 1 and connections[0].transfer is not None:
+        busy, pending, demands = scan_busy(self.connections)
+        if len(busy) == 1 and busy[0]._transfer is not None:
             executed, activity, capacity, completing = self._advance_one_flow(
-                connections[0], max_ticks, dt, dead_air
+                busy[0], max_ticks, dt, dead_air
             )
         else:
             executed, activity, capacity, completing = self._advance_flows(
-                connections, max_ticks, dt, dead_air
+                busy, pending, demands, max_ticks, dt, dead_air
             )
         if completing:
             clamp_reason = ADVANCE_COMPLETION
@@ -383,12 +386,25 @@ class Network:
         return executed, activity, base_capacity, completing
 
     def _advance_flows(
-        self, connections: list[TcpConnection], max_ticks: int, dt: float,
-        dead_air: bool,
+        self, busy: list[TcpConnection], pending: list[int],
+        demands: list[float], max_ticks: int, dt: float, dead_air: bool,
     ) -> tuple[int, list[bool], float, bool]:
-        """:meth:`advance_many`'s walk over any busy set, water-filling
-        every tick: windows with two or more busy connections (fleet
-        cells, parallel-connection services).
+        """The multi-flow kernel: :meth:`advance_many` over any other
+        busy set (fleet cells, parallel-connection services), on
+        per-flow locals.
+
+        ``busy``, ``pending`` and ``demands`` are :func:`scan_busy`'s
+        answer for the window's first tick.  Every tick is planned by
+        :func:`plan_tick`, the serial tick's planner, and committed only
+        if no transfer would complete on it.  The first tick is planned
+        and checked on the connections themselves, so a probe that stops
+        there restores the countdowns and returns without building
+        anything.  A window that runs moves each flow's
+        ``delivered_bytes``, ``total_bytes_received`` and ``cwnd_bytes``
+        and the link's ``total_bytes_delivered`` into locals and writes
+        them back once, on every exit; steady demands come from the
+        local windows.  Per flow, in busy order, each tick runs the
+        serial tick's float operations in its order.
 
         Returns the ticks executed, their radio activity, the capacity
         of the last executed tick and whether a completion stopped it.
@@ -396,10 +412,6 @@ class Network:
         link = self.link
         schedule = self.schedule
         clock = self.clock
-        # Only connections not yet in steady transfer have countdowns to
-        # run, save and restore; the steady ones' control steps are
-        # no-ops.
-        pending = [c for c in connections if not c.in_steady_transfer]
         step_at = 0 if schedule is not None else max_ticks
         read_at = -1
         base_capacity = previous = link.capacity_bps
@@ -414,64 +426,96 @@ class Network:
                     schedule, clock.ahead(executed), executed, dt, max_ticks
                 )
                 capacity = 0.0 if dead_air else base_capacity
-            if pending:
-                saved = [
-                    (
-                        c,
-                        c.state,
-                        c._handshake_remaining_s,
-                        c._request_latency_remaining_s,
-                    )
-                    for c in pending
+            if executed:
+                demands = [
+                    cwnd * 8.0 / rtt for cwnd, rtt in zip(cwnds, rtts)
                 ]
-                for connection in pending:
-                    connection.advance_control(dt)
-            demands = [c.rate_cap_bps() for c in connections]
-            allocations = allocate(capacity, demands)
+            allocations, saved = plan_tick(busy, pending, demands, capacity,
+                                           dt)
             # Plan the tick; commit only if no transfer would complete.
-            plan = []
-            for connection, rate_bps in zip(connections, allocations):
-                num_bytes = rate_bps * dt / 8.0
-                if num_bytes <= 0:
-                    continue
-                transfer = connection.transfer
-                delivered = min(num_bytes, transfer.remaining_bytes)
-                if (
-                    transfer.delivered_bytes + delivered
-                    >= transfer.total_bytes - 1e-6
-                ):
-                    completing = True
-                    break
-                plan.append((connection, transfer, delivered))
+            moves = []
+            if executed:
+                for i, rate_bps in enumerate(allocations):
+                    num_bytes = rate_bps * dt / 8.0
+                    if num_bytes <= 0:
+                        continue
+                    got = delivered[i]
+                    remaining = totals[i] - got
+                    moved = remaining if remaining < num_bytes else num_bytes
+                    if got + moved >= done_at[i]:
+                        completing = True
+                        break
+                    moves.append((i, moved))
+            else:
+                for i, rate_bps in enumerate(allocations):
+                    num_bytes = rate_bps * dt / 8.0
+                    if num_bytes <= 0:
+                        continue
+                    transfer = busy[i]._transfer
+                    got = transfer.delivered_bytes
+                    remaining = transfer.total_bytes - got
+                    moved = remaining if remaining < num_bytes else num_bytes
+                    if got + moved >= transfer.total_bytes - 1e-6:
+                        completing = True
+                        break
+                    moves.append((i, moved))
+                if not completing:
+                    # The window runs: per-flow state moves into locals.
+                    transfers = [c._transfer for c in busy]
+                    totals = [
+                        t.total_bytes if t is not None else 0
+                        for t in transfers
+                    ]
+                    done_at = [total - 1e-6 for total in totals]
+                    delivered = [
+                        t.delivered_bytes if t is not None else 0.0
+                        for t in transfers
+                    ]
+                    received = [c.total_bytes_received for c in busy]
+                    cwnds = [c.cwnd_bytes for c in busy]
+                    caps = [c.max_cwnd_bytes for c in busy]
+                    rtts = [c.rtt_s for c in busy]
+                    link_total = link.total_bytes_delivered
             if completing:
                 # advance_control already ran for this aborted tick;
                 # put the countdowns back so the serial tick that takes
                 # over replays them identically.
-                if pending:
-                    for connection, state, handshake, latency in saved:
-                        connection.state = state
-                        connection._handshake_remaining_s = handshake
-                        connection._request_latency_remaining_s = latency
+                for connection, state, handshake, latency in saved:
+                    connection.state = state
+                    connection._handshake_remaining_s = handshake
+                    connection._request_latency_remaining_s = latency
                 if read_at == executed:
                     base_capacity = previous  # no tick ran at this rate
                 break
-            before_link = link.total_bytes_delivered
-            for connection, transfer, delivered in plan:
+            before_link = link_total
+            for i, moved in moves:
+                # Set at most once per transfer, so written through.
+                transfer = transfers[i]
                 if transfer.first_byte_at is None:
                     transfer.first_byte_at = clock.ahead(executed)
-                transfer.delivered_bytes += delivered
-                before = connection.total_bytes_received
-                connection.total_bytes_received = before + delivered
-                connection.cwnd_bytes = min(
-                    connection.cwnd_bytes + delivered, connection.max_cwnd_bytes
-                )
-                link.total_bytes_delivered += (
-                    connection.total_bytes_received - before
-                )
-            activity.append(link.total_bytes_delivered > before_link)
+                delivered[i] += moved
+                before = received[i]
+                after = before + moved
+                received[i] = after
+                grown = cwnds[i] + moved
+                cap = caps[i]
+                cwnds[i] = cap if cap < grown else grown
+                link_total += after - before
+            activity.append(link_total > before_link)
             executed += 1
             if pending:
-                pending = [c for c in pending if not c.in_steady_transfer]
+                pending = [
+                    i for i in pending if not busy[i].in_steady_transfer
+                ]
+        if executed:
+            for connection, transfer, got, after, cwnd in zip(
+                busy, transfers, delivered, received, cwnds
+            ):
+                if transfer is not None:
+                    transfer.delivered_bytes = got
+                connection.total_bytes_received = after
+                connection.cwnd_bytes = cwnd
+            link.total_bytes_delivered = link_total
         return executed, activity, base_capacity, completing
 
 

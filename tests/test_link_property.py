@@ -36,9 +36,18 @@ demand_values = st.one_of(
 
 demand_lists = st.lists(demand_values, min_size=0, max_size=64)
 
+# Up to 64 flows, or a count on either side of the allocator's
+# threshold: a drawn pattern repeated, which keeps long lists cheap to
+# draw and makes many flows leave the same round together.
+fill_lists = st.one_of(demand_lists, st.builds(
+    lambda pattern, n: (pattern * n)[:n],
+    st.lists(demand_values, min_size=1, max_size=16),
+    st.integers(VECTORIZE_MIN_FLOWS - 4, VECTORIZE_MIN_FLOWS + 4),
+))
 
-@settings(max_examples=400, deadline=None)
-@given(demands=demand_lists, data=st.data())
+
+@settings(max_examples=800, deadline=None)
+@given(demands=fill_lists, data=st.data())
 def test_vectorized_water_fill_is_bit_identical(demands, data):
     capacity = data.draw(
         st.one_of(

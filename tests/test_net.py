@@ -1,5 +1,6 @@
 """Unit tests for the network substrate: schedules, TCP, link, HTTP."""
 
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from repro.net import (
     TransportFaultPlane,
     water_fill,
 )
+import repro.net.link as link_module
 from repro.net.link import allocate
 from repro.net.network import (
     ADVANCE_COMPLETION,
@@ -671,6 +673,43 @@ def _link_advance_all(self, connections, dt, now):
     return completed
 
 
+def _link_advance_busy(self, connections, dt, now):
+    """``BottleneckLink.advance`` as it walked the busy connections
+    before the multi-flow kernel, kept verbatim (``self`` is the
+    link)."""
+    check_positive("dt", dt)
+    busy = [connection for connection in connections if connection.busy]
+    if not busy:
+        return []
+    for connection in busy:
+        connection.advance_control(dt)
+    if len(busy) == 1:
+        # Single connection (every HLS service): skip the list
+        # building and the water-fill call; the allocation collapses
+        # to the same min-with-tolerance water_fill computes.
+        demand = busy[0].rate_cap_bps()
+        if demand <= 0 or self.capacity_bps <= 1e-12:
+            allocations = (0.0,)
+        elif demand <= self.capacity_bps + 1e-12:
+            allocations = (demand,)
+        else:
+            allocations = (self.capacity_bps,)
+    else:
+        demands = [connection.rate_cap_bps() for connection in busy]
+        allocations = allocate(self.capacity_bps, demands)
+    completed = []
+    for connection, rate_bps in zip(busy, allocations):
+        num_bytes = rate_bps * dt / 8.0
+        if num_bytes <= 0:
+            continue
+        before = connection.total_bytes_received
+        transfer = connection.deliver(num_bytes, now)
+        self.total_bytes_delivered += connection.total_bytes_received - before
+        if transfer is not None:
+            completed.append(transfer)
+    return completed
+
+
 def _advance_many_all(self, max_ticks, dt):
     """``Network.advance_many`` as it walked every connection before the
     busy-only walk, kept verbatim (``self`` is the network)."""
@@ -956,28 +995,34 @@ class _PathSizedServer:
         return ResponsePlan.ok_opaque(int(request.url.lstrip("/")))
 
 
-def _mixed_network(kinds, size_bytes, dead_air):
+def _mixed_network(kinds, size_bytes, dead_air, *, rtt_s=0.05, extra_s=0.0):
     """A network holding every kind of connection the link may see.
 
     ``kinds`` counts, in order: closed (never used), idle (established,
     transfer done), reclosed (idle, then closed), steady (past handshake
     and request latency), connected without a transfer, handshaking
-    with a transfer, and waiting out request latency.  Dead air, when
-    asked for, starts a few ticks after setup and lasts a few more.
+    with a transfer, and waiting out request latency.  Every connection
+    has round-trip time ``rtt_s``; the handshaking and latency kinds'
+    requests wait ``extra_s`` more, under a latency spike that ends 1 s
+    after setup.  Dead air, when asked for, starts a few ticks after
+    setup and lasts a few more.
     """
     closed, idle, reclosed, steady, bare, handshaking, latency = kinds
     clock = Clock(dt=0.1)
     schedule = TraceSchedule.from_samples([mbps(6), mbps(2), mbps(9)])
-    network = Network(clock, _PathSizedServer(), schedule)
+    network = Network(clock, _PathSizedServer(), schedule, rtt_s=rtt_s)
 
     def request(connection, size=size_bytes):
         network.request(connection, HttpRequest(url=f"/{size}"),
                         lambda response: None)
 
     def run_until(done):
-        while not done():
+        for _ in range(600):  # setup takes at most a few dozen ticks
+            if done():
+                return
             network.advance(clock.dt)
             clock.tick()
+        raise AssertionError("setup never reached its state")
 
     for _ in range(closed):
         network.new_connection("closed")
@@ -994,13 +1039,18 @@ def _mixed_network(kinds, size_bytes, dead_air):
     run_until(lambda: all(c.in_steady_transfer for c in running))
     for _ in range(bare):
         network.new_connection("bare").connect(clock.now)
+    spikes = ()
+    if extra_s:
+        spikes = (LatencySpikeWindow(0.0, clock.now + 1.0, extra_s),)
+        network.faults = TransportFaultPlane(latency_spikes=spikes)
     for _ in range(handshaking):
         request(network.new_connection("handshaking"))
     for connection in finished[idle + reclosed:]:
         request(connection)
     if dead_air:
         network.faults = TransportFaultPlane(dead_air=(
-            DeadAirWindow(clock.now + 0.25, clock.now + 0.75),))
+            DeadAirWindow(clock.now + 0.25, clock.now + 0.75),),
+            latency_spikes=spikes)
     return clock, network
 
 
@@ -1314,6 +1364,197 @@ class TestSingleFlowKernel:
         executed, _, reason = network.advance_many(60, 0.1)
         assert (executed, reason) == (60, ADVANCE_HORIZON)
         assert flow.cwnd_bytes == flow.max_cwnd_bytes
+
+
+# Where, in busy order among the flows with a transfer, the flow whose
+# body ends at a drawn window tick sits.
+COMPLETING_POSITIONS = ("first", "middle", "last")
+CELL_RATES = (mbps(0.5), mbps(2), mbps(6), mbps(30), mbps(150))
+
+
+@contextlib.contextmanager
+def _allocator(name):
+    """Route every ``allocate`` call to the scalar or the NumPy
+    water-fill, whatever the flow count."""
+    saved = link_module.VECTORIZE_MIN_FLOWS
+    link_module.VECTORIZE_MIN_FLOWS = 0 if name == "numpy" else math.inf
+    try:
+        yield
+    finally:
+        link_module.VECTORIZE_MIN_FLOWS = saved
+
+
+@st.composite
+def cell_cases(draw):
+    """A shared cell of 2-64 busy connections beside up to 60 idle ones.
+
+    Up to 16 busy connections start the window pending: handshaking,
+    waiting out request latency (an RTT of up to 0.25 s and a spike of
+    up to 0.35 s turn them steady mid-window) or connecting without a
+    transfer.  Capacity steps inside the first window, dead air and
+    chunked calls follow.  When ``position`` is set, the flow at that
+    place in busy order completes on window tick ``completes_at``.
+    """
+    busy = draw(st.integers(2, 64), label="busy")
+    pending = draw(st.integers(0, min(busy - 1, 16)), label="pending")
+    bare = draw(st.integers(0, min(pending, 4)), label="bare")
+    handshaking = draw(st.integers(0, pending - bare), label="handshaking")
+    idle = draw(st.tuples(*(st.integers(0, 20) for _ in range(3))),
+                label="idle")
+    window = draw(st.integers(2, 60), label="window")
+    offsets = draw(st.lists(st.integers(1, window - 1), max_size=5,
+                            unique=True), label="offsets")
+    return SimpleNamespace(
+        kinds=idle + (busy - pending, bare, handshaking,
+                      pending - bare - handshaking),
+        size_bytes=draw(st.sampled_from([20_000, 300_000, 4_000_000]),
+                        label="size_bytes"),
+        rtt_s=draw(st.sampled_from([0.05, 0.12, 0.25]), label="rtt_s"),
+        extra_s=draw(st.sampled_from([0.0, 0.08, 0.35]), label="extra_s"),
+        dead_air=draw(st.booleans(), label="dead_air"),
+        window=window,
+        offsets=sorted(offsets),
+        phase=draw(st.sampled_from([0.0, 0.5]), label="phase"),
+        rates=draw(st.lists(st.sampled_from(CELL_RATES),
+                            min_size=len(offsets) + 1,
+                            max_size=len(offsets) + 1), label="rates"),
+        position=draw(st.sampled_from(COMPLETING_POSITIONS + (None,)),
+                      label="position"),
+        completes_at=draw(st.one_of(st.integers(0, 2), st.integers(3, 40)),
+                          label="completes_at"),
+        allocator=draw(st.sampled_from(["scalar", "numpy"]),
+                       label="allocator"),
+    )
+
+
+def _completing_flow(network, position):
+    flows = [c for c in network.connections if c.busy and c.transfer]
+    return flows[{"first": 0, "middle": len(flows) // 2, "last": -1}[position]]
+
+
+def _cell_network(case, total_bytes):
+    """``case``'s cell, with the flow at ``case.position`` (if any)
+    carrying a ``total_bytes`` body.  A body's size changes nothing
+    before its last tick."""
+    clock, network = _mixed_network(case.kinds, case.size_bytes,
+                                    case.dead_air, rtt_s=case.rtt_s,
+                                    extra_s=case.extra_s)
+    starts = [clock.now + (k + case.phase) * 0.1 for k in case.offsets]
+    network.schedule = StepSchedule(
+        steps=tuple(zip([0.0] + starts, case.rates)))
+    if case.position is not None:
+        _completing_flow(network, case.position).transfer.total_bytes = (
+            total_bytes)
+    return clock, network
+
+
+def _total_completing_at(case):
+    """A body total for ``case``'s drawn flow that completes on window
+    tick ``case.completes_at`` (or the first later tick that delivers
+    enough), found on a serial probe where that body is huge; a huge one
+    when no flow is drawn or no tick in reach delivers."""
+    if case.position is None:
+        return HUGE_BYTES
+    clock, network = _cell_network(case, HUGE_BYTES)
+    transfer = _completing_flow(network, case.position).transfer
+    last = transfer.delivered_bytes
+    for k in range(case.completes_at + 40):
+        network.advance(clock.dt)
+        clock.tick()
+        total = math.floor(transfer.delivered_bytes)
+        if k >= case.completes_at and total > last + 1e-6:
+            return total
+        last = transfer.delivered_bytes
+    return HUGE_BYTES
+
+
+class TestMultiFlowKernel:
+    """Cells of 2-64 busy connections run the multi-flow kernel: the
+    serial tick and every batched window with two or more busy
+    connections.  On either allocator, each serial tick equals the
+    verbatim busy-only walk, and each ``advance_many`` call equals the
+    walk that stopped at every change point, chained as the engines
+    drove it: every connection, transfer and link total, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=cell_cases())
+    def test_link_advance_matches_the_busy_walk(self, case):
+        total = _total_completing_at(case)
+        twins = [_cell_network(case, total) for _ in range(2)]
+        (clock_a, net_a), (clock_b, net_b) = twins
+        assert _network_state(net_a) == _network_state(net_b)
+        with _allocator(case.allocator):
+            for _ in range(case.window):
+                completed = []
+                for clock, network, walk in (
+                    (clock_a, net_a, _link_advance_busy),
+                    (clock_b, net_b, BottleneckLink.advance),
+                ):
+                    now = clock.now
+                    dead = network.faults is not None and (
+                        network.faults.dead_air_at(now))
+                    network.link.set_capacity(
+                        0.0 if dead else network.schedule.bandwidth_at(now))
+                    done = walk(network.link, network.connections, 0.1, now)
+                    completed.append([_transfer_state(t) for t in done])
+                    clock.tick()
+                assert completed[0] == completed[1]
+                assert _network_state(net_a) == _network_state(net_b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=cell_cases(),
+           chunks=st.lists(st.integers(1, 30), max_size=4))
+    def test_one_call_equals_the_clamped_chain(self, case, chunks):
+        total = _total_completing_at(case)
+        twins = [_cell_network(case, total) for _ in range(2)]
+        with _allocator(case.allocator):
+            _assert_one_call_equals_the_chain(
+                _advance_many_clamped, twins[0], twins[1],
+                [case.window] + chunks)
+
+    @pytest.mark.parametrize("position", COMPLETING_POSITIONS)
+    @pytest.mark.parametrize("completes_at", [0, 1, 7])
+    def test_completion_stops_before_the_drawn_tick(self, position,
+                                                    completes_at):
+        """The size probe lands the completion where it was asked, in
+        any place in busy order, so the properties above cover probes
+        that stop on their first tick and windows that stop later."""
+        case = SimpleNamespace(
+            kinds=(3, 3, 3, 40, 0, 0, 0), size_bytes=20_000, rtt_s=0.05,
+            extra_s=0.0, dead_air=False, offsets=[], phase=0.0,
+            rates=[mbps(30)], position=position, completes_at=completes_at,
+        )
+        clock, network = _cell_network(case, _total_completing_at(case))
+        flow = _completing_flow(network, position)
+        executed, _, reason = network.advance_many(60, 0.1)
+        assert (executed, reason) == (completes_at, ADVANCE_COMPLETION)
+        network.advance(0.1)
+        assert flow.transfer is None
+        assert all(c.transfer for c in network.connections
+                   if c.busy and c is not flow)
+
+    def test_a_fleet_sized_cell_runs_the_numpy_allocator(self):
+        """With ``VECTORIZE_MIN_FLOWS`` busy connections and more, the
+        water-fill takes the NumPy path unpatched, and each call still
+        equals the clamped chain."""
+        pytest.importorskip("numpy")
+        kinds = (4, 4, 4, link_module.VECTORIZE_MIN_FLOWS, 0, 2, 2)
+        twins = [_mixed_network(kinds, 300_000, True) for _ in range(2)]
+        calls = []
+        original = link_module.water_fill_vec
+
+        def counted(capacity, demands):
+            calls.append(len(demands))
+            return original(capacity, demands)
+
+        link_module.water_fill_vec = counted
+        try:
+            _assert_one_call_equals_the_chain(
+                _advance_many_clamped, twins[0], twins[1], [12, 20])
+        finally:
+            link_module.water_fill_vec = original
+        assert calls
+        assert min(calls) >= link_module.VECTORIZE_MIN_FLOWS
 
 
 class TestHttpTypes:
