@@ -67,6 +67,7 @@ from repro.core.fleet import (
     FleetSpec,
     get_device_class,
 )
+from repro.core.multi import ENGINES
 from repro.core.outcome_cache import resolve_outcome_cache
 from repro.core.parallel import RunSpec
 from repro.core.run import aggregate_metrics, execute, run_one
@@ -228,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_engine_argument(parser) -> None:
-    parser.add_argument("--engine", choices=("tick", "event"),
+    parser.add_argument("--engine", choices=ENGINES,
                         default="event",
                         help="simulation core: the event-driven engine or "
                              "the per-tick oracle loop it is pinned "

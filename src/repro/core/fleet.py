@@ -39,7 +39,7 @@ from typing import Hashable, Optional, Union
 
 from repro.analysis.faults import FaultSpec
 from repro.core.multi import (
-    MULTI_ENGINES,
+    ENGINES,
     ClientRecord,
     ClientResult,
     EventDrivenMultiSession,
@@ -181,10 +181,9 @@ class FleetSpec:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if not self.devices:
             raise ValueError("a fleet needs at least one device class")
-        if self.engine not in MULTI_ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"expected one of {MULTI_ENGINES}"
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
         for weights, pool, label in (
             (self.service_weights, self.services, "service_weights"),

@@ -32,6 +32,7 @@ from repro.analysis.faults import FaultSpec
 from repro.analysis.proxy import ManifestRewriter
 from repro.analysis.qoe import QoeReport
 from repro.core.events import EventDrivenSession
+from repro.core.multi import ENGINES
 from repro.core.session import ResultFieldMissing, Session, SessionResult
 from repro.net.rrc import RrcState
 from repro.net.schedule import BandwidthSchedule
@@ -104,6 +105,12 @@ class RunSpec:
     # participates in the outcome-cache key.
     engine: str = "event"
 
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
+            )
+
     @property
     def service_name(self) -> str:
         return self.service if isinstance(self.service, str) else self.service.name
@@ -168,14 +175,7 @@ class RunSpec:
             content_seed=self.resolved_content_seed,
             player_config=player_config,
         )
-        if self.engine == "tick":
-            session_cls = Session
-        elif self.engine == "event":
-            session_cls = EventDrivenSession
-        else:
-            raise ValueError(
-                f"unknown engine {self.engine!r} (expected 'tick' or 'event')"
-            )
+        session_cls = EventDrivenSession if self.engine == "event" else Session
         return session_cls(
             built,
             server,

@@ -1,31 +1,34 @@
 """A streaming session: server + proxy + network + player + methodology.
 
-:class:`Session` wires together everything the paper's testbed had —
-origin, man-in-the-middle proxy, `tc`-shaped network, device running
-the app, Xposed UI hook, and an LTE radio — runs the session tick by
-tick, and returns a :class:`SessionResult` carrying both the
-methodology's view (flows → analyzer → QoE) and the ground truth
-(player events) that validates it.
+:class:`Session` is the one-client case of the shared-link cell
+(:class:`~repro.core.multi.MultiSession`): the cell's constructor body
+wires together everything the paper's testbed had — origin,
+man-in-the-middle proxy, `tc`-shaped network and the device running
+the app — and the session adds what only one device under test has:
+its LTE radio, the Xposed UI hook's probe extras (manifest rewriter,
+request rejector, live analyzer), its end rule and its result.  It
+returns a :class:`SessionResult` carrying both the methodology's view
+(flows → analyzer → QoE) and the ground truth (player events) that
+validates it.
 
-The tick loop is the oracle: every run defaults to the event-driven
-subclass (:class:`~repro.core.events.EventDrivenSession`), and this
-loop runs only when a spec names ``engine="tick"``, which is how the
-identity tests and the benchmark's checks pin the fast engine to it.
+It runs the cell's two loops: the tick oracle it inherits, which runs
+only when a spec names ``engine="tick"``, and, through the
+event-driven subclass (:class:`~repro.core.events.EventDrivenSession`),
+the event loop every run defaults to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.analysis.bufferinfer import BufferEstimator
-from repro.analysis.faults import FaultInjectingHandler, FaultSpec
+from repro.analysis.faults import FaultSpec
 from repro.analysis.proxy import ManifestRewriter, Proxy, SegmentLimitRejector
 from repro.analysis.qoe import QoeReport, compute_qoe
 from repro.analysis.traffic import TrafficAnalyzer
 from repro.analysis.ui import UiMonitor
-from repro.net.clock import Clock
-from repro.net.network import Network
+from repro.core.multi import MultiSession
 from repro.net.rrc import RrcMachine
 from repro.net.schedule import BandwidthSchedule
 from repro.obs import Observability
@@ -112,7 +115,7 @@ class SessionResult:
         return self.true_startup_delay_s is not None
 
 
-class Session:
+class Session(MultiSession):
     """One configured run of one service over one bandwidth schedule."""
 
     def __init__(
@@ -129,34 +132,15 @@ class Session:
         faults: Optional[FaultSpec] = None,
         obs: Optional[Observability] = None,
     ):
+        if player_config is not None:
+            built = replace(built, player_config=player_config)
         self.built = built
         self.obs = obs if obs is not None else Observability()
-        # Tick accounting (TickStats): the tick loop only executes; the
-        # event engine fills the batched-tick counters too.
-        self.ticks_executed = 0
-        self.fast_forwarded_ticks = 0
-        self.fast_forward_jumps = 0
-        self.transfer_fast_forwarded_ticks = 0
-        self.transfer_fast_forward_jumps = 0
-        self.clock = Clock(dt=dt)
-        self.faults = faults
-        # Origin-side faults sit between the proxy and the origin (the
-        # proxy must record what actually went over the wire); the
-        # transport plane rides inside the network.
-        self.fault_injector: Optional[FaultInjectingHandler] = None
-        origin_handler = server
-        if faults is not None and faults.has_origin_faults:
-            self.fault_injector = FaultInjectingHandler(server, self.clock, faults)
-            origin_handler = self.fault_injector
-        self.proxy = Proxy(origin_handler)
-        self.network = Network(
-            self.clock,
-            self.proxy,
-            schedule,
-            rtt_s=rtt_s,
-            faults=faults.transport_plane() if faults is not None else None,
-        )
-        self.network.observers.append(self.proxy)
+        # Set before the cell's body builds the player with it.
+        self.tracer = self.obs.tracer
+        super().__init__([built], server, schedule, dt=dt, rtt_s=rtt_s,
+                         faults=faults)
+        self.player = self.players[0]
         self.rrc = RrcMachine()
         if manifest_rewriter is not None:
             self.proxy.manifest_rewriter = manifest_rewriter
@@ -167,29 +151,10 @@ class Session:
             self.proxy.rejector = SegmentLimitRejector(
                 self.live_analyzer, reject_after_segments
             )
-        self.player = Player(
-            self.clock,
-            self.network,
-            player_config or built.player_config,
-            built.manifest_url,
-            cipher=built.cipher,
-            tracer=self.obs.tracer,
-        )
 
-    def run(self, duration_s: float) -> SessionResult:
-        """Tick the world until ``duration_s`` or the session ends."""
-        dt = self.clock.dt
-        while self.clock.now < duration_s - 1e-9:
-            before = self.network.link.total_bytes_delivered
-            self.network.advance(dt)
-            radio_active = self.network.link.total_bytes_delivered > before
-            self.rrc.observe(radio_active, dt)
-            self.player.advance(dt)
-            self.clock.tick()
-            self.ticks_executed += 1
-            if self.player.ended and not self.player.scheduler.busy:
-                break
-        return self._finish()
+    def _all_done(self) -> bool:
+        """The session ends when its player has, with no job in flight."""
+        return self.player.ended and not self.player.scheduler.busy
 
     def _finish(self) -> SessionResult:
         analyzer = TrafficAnalyzer()

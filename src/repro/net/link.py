@@ -39,6 +39,11 @@ def water_fill(capacity: float, demands: list[float]) -> list[float]:
     check_non_negative("capacity", capacity)
     for demand in demands:
         check_non_negative("demand", demand)
+    return _fill(capacity, demands)
+
+
+def _fill(capacity: float, demands: list[float]) -> list[float]:
+    """:func:`water_fill`'s arithmetic, without its argument checks."""
     allocations = [0.0] * len(demands)
     unsatisfied = [i for i, demand in enumerate(demands) if demand > 0]
     remaining = capacity
@@ -118,11 +123,15 @@ def allocate(capacity: float, demands: list[float]) -> list[float]:
 
     The scalar loop stays the oracle; the vectorized path is pinned
     bit-identical to it, so callers may treat this as :func:`water_fill`
-    that happens to be fast for fleet-scale connection counts.
+    that happens to be fast for fleet-scale connection counts.  Only
+    the capacity is checked on the scalar path: the link kernel, its
+    one caller, computes every demand itself, from non-negative
+    windows and rates (``cwnd * 8 / rtt`` and ``rate_cap_bps``).
     """
     if _np is not None and len(demands) >= VECTORIZE_MIN_FLOWS:
         return water_fill_vec(capacity, demands)
-    return water_fill(capacity, demands)
+    check_non_negative("capacity", capacity)
+    return _fill(capacity, demands)
 
 
 _CONNECTING = TcpConnectionState.CONNECTING

@@ -152,6 +152,48 @@ def test_tick_accounting_matches_serial_totals():
         assert noop * 10 <= stats_s.ticks_executed / 10
 
 
+# The dispatch structure of two single sessions, generated at the
+# commit before a single session became the one-client case of the
+# shared-link cell's event loop; the one-client counterpart of
+# ``BENCH_CELL_TICK_STATS`` in tests/test_fleet_dispatch.py.  Which
+# loop serves a session must not move a dispatch, a label, a batched
+# window or a queue entry.
+RESET_STORM_120S = next(
+    s for s in standard_fault_scenarios(120.0) if s.name == "reset-storm"
+)
+DISPATCH_PINS = {
+    "D1-profile-11-600s": (
+        RunSpec(service="D1", profile_id=11, duration_s=600.0),
+        TickStats(513, 4862, 64, 625, 88),
+        {"fetch_submitted": 73, "noop": 31, "pause_flip": 1,
+         "segment_boundary": 8, "transfer_complete": 400},
+        {"completion": 395, "horizon": 12},
+        (192, 73),
+    ),
+    "S1-profile-5-reset-storm": (
+        RunSpec(service="S1", profile_id=5, duration_s=120.0,
+                faults=RESET_STORM_120S.faults,
+                config_overrides=RESET_STORM_120S.config_overrides),
+        TickStats(128, 268, 4, 804, 106),
+        {"fault_change": 3, "fetch_submitted": 4, "noop": 3,
+         "transfer_complete": 118},
+        {"completion": 118, "horizon": 3},
+        (63, 52),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_PINS))
+def test_single_session_dispatch_structure_is_pinned(name):
+    spec, stats, labels, stops, queue = DISPATCH_PINS[name]
+    session = spec.build()
+    session.run(spec.duration_s)
+    assert TickStats.from_session(session) == stats
+    assert session.dispatch_counts == labels
+    assert session.advance_stop_counts == stops
+    assert (session.queue.pushed_total, session.queue.cancelled_total) == queue
+
+
 def test_fault_change_dispatches_are_classified():
     scenario = next(
         s for s in standard_fault_scenarios(DURATION_S) if s.name == "dead-air"
@@ -208,6 +250,12 @@ def test_event_is_the_default_engine():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
         RunSpec(service="H1", duration_s=10.0, engine="warp").build()
+
+
+def test_unknown_engine_rejected_at_construction():
+    """A typo fails where the spec is written, not in a sweep worker."""
+    with pytest.raises(ValueError, match="unknown engine"):
+        RunSpec(service="H1", engine="warp")
 
 
 def test_trace_schedule_next_change_skips_equal_samples():

@@ -97,6 +97,14 @@ def test_negative_inputs_rejected_like_scalar():
         water_fill_vec(1.0, [-1.0, 2.0])
 
 
+def test_allocate_checks_capacity_on_both_paths():
+    # The link kernel computes the demands itself, so allocate checks
+    # only the capacity before the scalar fill.
+    for flows in (1, VECTORIZE_MIN_FLOWS):
+        with pytest.raises(ValueError):
+            allocate(-1.0, [1.0] * flows)
+
+
 def test_allocate_dispatches_by_flow_count():
     few = [1.0] * (VECTORIZE_MIN_FLOWS - 1)
     many = [1.0] * (VECTORIZE_MIN_FLOWS + 1)

@@ -164,6 +164,16 @@ def test_event_multi_executes_fewer_ticks():
     assert event_session.max_queue_depth >= len(event_session.players)
 
 
+def test_cell_labels_its_dispatches():
+    """A cell runs the single session's event loop, labels included."""
+    _, event_session = _build_sessions(["H1", "D1"], SCHEDULES["step_down"])
+    event_session.run(DURATION_S)
+    counts = event_session.dispatch_counts
+    assert sum(counts.values()) == event_session.events_dispatched
+    assert counts.get("transfer_complete", 0) > 0
+    assert event_session.advance_stop_counts
+
+
 def test_wake_dirty_check_skips_untouched_players():
     """Bystander players keep their wakes across another client's ticks.
 
