@@ -71,7 +71,7 @@ from repro.core.multi import ENGINES
 from repro.core.outcome_cache import resolve_outcome_cache
 from repro.core.parallel import RunSpec
 from repro.core.run import aggregate_metrics, execute, run_one
-from repro.core.supervisor import FailedOutcome, SweepPolicy
+from repro.core.supervisor import SweepPolicy
 from repro.net.schedule import ConstantSchedule
 from repro.net.traces import cellular_profiles
 from repro.obs import TraceConfig, render_timeline
@@ -584,9 +584,6 @@ def _cmd_fleet(args) -> int:
     print(f"Fleet of {spec.size} clients over {source} "
           f"for {args.duration:.0f} s ({args.engine} engine)")
     outcome = execute([spec], cache=_cache_for(args))[0]
-    if isinstance(outcome, FailedOutcome):
-        print(f"fleet failed: {outcome.error}", file=sys.stderr)
-        return 1
     pop = outcome.population
     print()
     print(f"population   : {pop.clients} offered, {pop.arrived} arrived, "

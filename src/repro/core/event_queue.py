@@ -26,9 +26,9 @@ class EventType(enum.Enum):
     deadlines and retry-backoff expiries all surface as the player's
     single ``PLAYER_WAKE`` (the minimum over its margin contracts).
     Transfer completions, segment starts, capacity steps and RRC timers
-    need no events at all: ``advance_many``'s stop reason announces a
-    completion, and the rest are replayed per tick inside every batched
-    window.
+    need no events at all: a batched window ends on the tick that
+    completes a transfer and returns the completions for the loop to
+    dispatch, and the rest are replayed per tick inside every window.
     """
 
     PLAYER_WAKE = "player_wake"

@@ -34,9 +34,10 @@ oracle's tick body.  Dispatch labels are read after the tick, so they
 cannot perturb it.  A window ends only where the simulation must
 react (DESIGN.md §4n): segment starts and capacity steps replay inside
 it, and transfer completions need no queue entry, because
-``advance_many`` reports why it stopped and a ``completion`` stop
-promises that the very next tick completes a transfer, which the loop
-then dispatches without probing again.
+``advance_many`` ends its window on the tick that completes a
+transfer and hands the completions back unfired; the loop dispatches
+that tick with its bytes already moved and fires them there
+(DESIGN.md §4r).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.analysis.traffic import TrafficAnalyzer
 from repro.analysis.ui import UiMonitor
 from repro.core.event_queue import Event, EventQueue, EventType
 from repro.net.clock import Clock
-from repro.net.network import ADVANCE_COMPLETION, Network
+from repro.net.network import Network
 from repro.net.rrc import RrcMachine
 from repro.net.schedule import BandwidthSchedule
 from repro.obs import NULL_TRACER, EventJump, Tracer
@@ -453,7 +454,6 @@ class EventDrivenMultiSession(MultiSession):
         self.dispatch_counts: dict[str, int] = {}
         self.advance_stop_counts: dict[str, int] = {}
         self.max_queue_depth = 0
-        self._completion_due = False
         self._limit = 0.0
         self._wake_handles: list[Event | None] = [None] * count
         self._wake_sigs: list[object] = [None] * count
@@ -480,13 +480,6 @@ class EventDrivenMultiSession(MultiSession):
         )
         clock = self.clock
         while clock.now < limit:
-            if self._completion_due:
-                # advance_many promised the next tick completes a
-                # transfer: dispatch it without re-probing anything.
-                self._completion_due = False
-                if self._dispatch_tick(dt):
-                    break
-                continue
             now = clock.now
             next_t = self.queue.next_time()
             if next_t <= now + 1e-9:
@@ -540,28 +533,37 @@ class EventDrivenMultiSession(MultiSession):
 
     # -- serial event instants --------------------------------------------
 
-    def _dispatch_tick(self, dt: float) -> bool:
+    def _dispatch_tick(self, dt: float, carried: bool = False,
+                       completed: Optional[list] = None) -> bool:
         """One oracle tick at an event instant; True ends the session.
 
-        After ``network.advance`` a client is *touched* — runs a full
-        ``player.advance`` — when its wake was popped at this instant
-        or it has none (it just arrived), when its scheduler's
-        ``completed_parts`` moved since its last full tick (a
-        completion, abort, reset or failure fired inside this tick's
-        ``network.advance``), or when a fault change point popped.
-        Any other client's wake lies strictly in the future, so this
-        tick falls inside the no-op window its margin contract
-        certified, where ``apply_noop_ticks(1)`` is bit-identical to
-        ``advance``.  The replay is eager, in client order: completion
-        callbacks inside ``network.advance`` read player state, so no
-        client may lag behind the clock.  A single session's one client
-        is touched on every dispatch.
+        The network step is ``network.advance``, or, on the tick that
+        ends a batched window, ``Network.complete`` over the transfers
+        ``advance_many`` ``completed`` there (it moved their bytes;
+        ``carried`` says whether it moved any).  After the network
+        step a client is *touched* — runs a full ``player.advance`` —
+        when its wake was popped at this instant or it has none (it
+        just arrived), when its scheduler's ``completed_parts`` moved
+        since its last full tick (a completion, abort, reset or failure
+        fired in this tick's network step), or when a fault change
+        point popped.  Any other client's wake lies strictly in the
+        future, so this tick falls inside the no-op window its margin
+        contract certified, where ``apply_noop_ticks(1)`` is
+        bit-identical to ``advance``.  The replay is eager, in client
+        order: completion callbacks read player state, so no client
+        may lag behind the clock.  A single session's one client is
+        touched on every dispatch.
         """
         now = self.clock.now
         due = self.queue.pop_due(now + 1e-9)
         if self._churn:
             self._process_churn(now)
-        self._advance_network(dt)
+        if completed is None:
+            self._advance_network(dt)
+        else:
+            self.network.complete(completed)
+            if self.rrc is not None:
+                self.rrc.observe(carried, dt)
         everyone = any(event.type is EventType.FAULT_CHANGE for event in due)
         players = self.players
         wakes = self._wake_handles
@@ -601,11 +603,11 @@ class EventDrivenMultiSession(MultiSession):
         """Name what a dispatched tick did, from its touched clients'
         signatures (post-hoc, so it cannot perturb the tick).
 
-        ``before`` is read after ``network.advance``: a completion
-        inside it is judged against the client's completions at its
-        last full tick (such a client has no ``before``, only that
-        label to earn), and without one ``network.advance`` moves
-        nothing else the signature holds.  Completion is counted at the
+        ``before`` is read after the network step: a completion in it
+        is judged against the client's completions at its last full
+        tick (such a client has no ``before``, only that label to
+        earn), and without one the network step moves nothing else the
+        signature holds.  Completion is counted at the
         wire level (``completed_parts``), so a split job's intermediate
         parts label their ticks too.  ``noop`` is the honest residue:
         ticks executed without a state change to show for them
@@ -670,8 +672,8 @@ class EventDrivenMultiSession(MultiSession):
         *now*; as an absolute instant the deadline stays valid across
         batch rounds, because mode and margin premises only change at a
         dispatched tick.  A busy scheduler with parts on the wire vets
-        via ``transfer_noop_ticks`` (``advance_many`` stops before any
-        completion), otherwise the playing/stalled contracts apply.  A
+        via ``transfer_noop_ticks`` (a completion ends the window on a
+        dispatched tick), otherwise the playing/stalled contracts apply.  A
         busy scheduler without live wire parts has no contract and
         wakes next tick.
         """
@@ -704,8 +706,11 @@ class EventDrivenMultiSession(MultiSession):
         until the next dispatch, and fault and churn instants are queue
         entries, so ``target`` already stops short of them.  Every
         player replays its own no-op ticks against the shared clock.
-        Returns True when a dispatch taken on the serial fallback path
-        ended the session.
+        A transfer window that ends on a completing tick replays the
+        ticks before it — clock, radio and players — and then
+        dispatches that tick, so its completions fire at its start with
+        every player caught up, as in the oracle.  Returns True when a
+        dispatch ended the session.
         """
         clock = self.clock
         now = clock.now
@@ -721,23 +726,28 @@ class EventDrivenMultiSession(MultiSession):
         players = [self.players[index] for index in self._active]
         rrc = self.rrc
         if self.network.steady_for_batching():
-            executed, activity, reason = self.network.advance_many(ticks, dt)
+            executed, activity, reason, completed = (
+                self.network.advance_many(ticks, dt)
+            )
             counts = self.advance_stop_counts
             counts[reason] = counts.get(reason, 0) + 1
-            if reason == ADVANCE_COMPLETION:
-                self._completion_due = True
             if executed <= 0:
-                # A completion or fault is due on this very tick.
-                self._completion_due = False
-                return self._dispatch_tick(dt)
-            for player in players:
-                player.apply_noop_ticks(executed, dt)
-            if rrc is not None:
-                rrc.observe_many(activity, dt)
-            clock.advance(executed)
-            self.transfer_fast_forwarded_ticks += executed
-            self.transfer_fast_forward_jumps += 1
-            self._emit_jump(now, "transfer", executed, reason)
+                return self._dispatch_tick(dt)  # a reset is due now
+            if completed:
+                # The completing tick is dispatched below.
+                executed -= 1
+                carried = activity.pop()
+            if executed:
+                for player in players:
+                    player.apply_noop_ticks(executed, dt)
+                if rrc is not None:
+                    rrc.observe_many(activity, dt)
+                clock.advance(executed)
+                self.transfer_fast_forwarded_ticks += executed
+                self.transfer_fast_forward_jumps += 1
+                self._emit_jump(now, "transfer", executed, reason)
+            if completed:
+                return self._dispatch_tick(dt, carried, completed)
             return False
         if any(player.scheduler.busy for player in players):
             # Jobs in flight with no live transfer anywhere: no

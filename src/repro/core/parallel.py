@@ -294,7 +294,9 @@ class TickStats:
     tick accounting is exactly the thing that differs between engines.
     The tick oracle only executes; the event engines count their
     batched windows as idle (no transfer on the link) or transfer
-    (``Network.advance_many``) ticks.
+    (``Network.advance_many``) ticks.  The tick a transfer window ends
+    on by completing a transfer is dispatched, so it counts as
+    executed.
     """
 
     ticks_executed: int  # full serial loop iterations

@@ -176,39 +176,30 @@ def scan_busy(
 def plan_tick(
     busy: list[TcpConnection], pending: list[int], demands: list[float],
     capacity: float, dt: float,
-) -> tuple[list[float] | tuple[float], list[tuple]]:
+) -> list[float] | tuple[float]:
     """Plan one tick of the shared link: run the pending connections'
     countdowns, fill in their demands and divide ``capacity``.
 
     ``demands`` holds the steady connections' demands (from the
     connections, or from a batched window's locals) and is completed in
-    place.  Returns one allocation per busy connection and the pending
-    connections' countdowns as they were before this tick, so that a
-    window that stops on this tick can put them back.  A single busy
+    place.  Returns one allocation per busy connection.  A single busy
     connection skips the water-fill call: the allocation collapses to
     the same min-with-tolerance :func:`water_fill` computes.
     """
-    saved = []
     for i in pending:
         connection = busy[i]
-        saved.append((
-            connection,
-            connection.state,
-            connection._handshake_remaining_s,
-            connection._request_latency_remaining_s,
-        ))
         connection.advance_control(dt)
         demands[i] = connection.rate_cap_bps()
     if len(busy) != 1:
         # Through the module global, so a wrapper installed on
         # ``allocate`` sees every call.
-        return allocate(capacity, demands), saved
+        return allocate(capacity, demands)
     demand = demands[0]
     if demand <= 0 or capacity <= 1e-12:
-        return (0.0,), saved
+        return (0.0,)
     if demand <= capacity + 1e-12:
-        return (demand,), saved
-    return (capacity,), saved
+        return (demand,)
+    return (capacity,)
 
 
 class BottleneckLink:
@@ -230,20 +221,31 @@ class BottleneckLink:
         Only busy connections take part: an idle one's control step is
         a no-op and its demand is 0, which the water-fill never serves,
         so leaving it out changes no other flow's allocation.  The tick
-        is planned by :func:`scan_busy` and :func:`plan_tick`, which a
-        batched window shares, and delivered inline, in busy order, with
-        the float operations of ``TcpConnection.deliver``: ``rate * dt /
-        8``, the ``min`` with the remaining bytes, the completion test
-        and the capped window growth.  Completed transfers come back in
-        busy order.
+        is planned by :func:`scan_busy` and :func:`plan_tick` and moved
+        by :meth:`deliver`, the steps a batched window shares; this
+        method calls no batched kernel, so the tick oracle stays
+        independent of the windows it checks.
         """
         check_positive("dt", dt)
         busy, pending, demands = scan_busy(connections)
         if not busy:
             return []
-        allocations, _ = plan_tick(
-            busy, pending, demands, self.capacity_bps, dt
-        )
+        allocations = plan_tick(busy, pending, demands, self.capacity_bps, dt)
+        return self.deliver(busy, allocations, dt, now)
+
+    def deliver(
+        self, busy: list[TcpConnection], allocations, dt: float, now: float
+    ) -> list:
+        """Move one planned tick of bytes, starting at ``now``; returns
+        the transfers that completed, in busy order, unfired.
+
+        The one delivery step: the serial tick, a multi-flow window's
+        first tick and every window's completing tick run it.  Per
+        connection, in busy order, it runs the float operations of
+        ``TcpConnection.deliver``: ``rate * dt / 8``, the ``min`` with
+        the remaining bytes, the completion test and the capped window
+        growth.
+        """
         completed = []
         link_total = self.total_bytes_delivered
         for connection, rate_bps in zip(busy, allocations):

@@ -24,11 +24,9 @@ from repro.util import check_non_negative, check_positive
 DEFAULT_HEADER_OVERHEAD_BYTES = 360
 
 # Stop reasons for :meth:`Network.advance_many` — *why* the batched
-# micro-loop returned.  Callers use them for control flow (a
-# ``completion`` means the very next tick completes a transfer and must
-# run serially; no re-probe needed), metrics label them as-is.
+# micro-loop returned.  Metrics label them as-is.
 ADVANCE_HORIZON = "horizon"  # executed everything the caller asked for
-ADVANCE_COMPLETION = "completion"  # next tick would complete a transfer
+ADVANCE_COMPLETION = "completion"  # the last tick completed a transfer
 ADVANCE_FAULT = "fault"  # clamped at (or stopped on) a fault change point
 
 
@@ -150,8 +148,8 @@ class Network:
         response, so the client reacts on this very tick.
         """
         transfer = connection.abort(self.clock.now)
-        if transfer is not None and transfer.on_complete is not None:
-            transfer.on_complete(transfer)
+        if transfer is not None:
+            self.complete([transfer])
 
     # -- time ---------------------------------------------------------------
 
@@ -174,6 +172,13 @@ class Network:
             self.link.set_capacity(saved_capacity)
         else:
             completed = self.link.advance(self.connections, dt, now)
+        self.complete(completed)
+
+    def complete(self, completed: list[Transfer]) -> None:
+        """Fire the completion callbacks of ``completed``, in order: the
+        transfers one tick completed, in busy order (:meth:`advance` for
+        its own tick, the event loop for the tick that ends a batched
+        window), or the transfer :meth:`abort_transfer` tore down."""
         for transfer in completed:
             if transfer.on_complete is not None:
                 transfer.on_complete(transfer)
@@ -195,12 +200,13 @@ class Network:
     def steady_for_batching(self) -> bool:
         """True when batched ticks can replay this network exactly.
 
-        Transfer completion is the only network event the batched
-        micro-loop cannot replay (its callbacks reach the proxy and the
-        player), and :meth:`advance_many` stops itself before any
-        completing tick — so the only precondition left is that there is
-        a download to batch through.  Handshake and request-latency
-        countdowns are replayed tick-exactly inside the micro-loop.
+        Transfer completion is the only network event a batched window
+        cannot finish (its callbacks reach the proxy and the player),
+        and :meth:`advance_many` ends its window on the completing tick
+        and hands the completions back unfired — so the only
+        precondition left is that there is a download to batch through.
+        Handshake and request-latency countdowns are replayed
+        tick-exactly inside the micro-loop.
         """
         return any(
             connection.transfer is not None for connection in self.connections
@@ -208,7 +214,7 @@ class Network:
 
     def advance_many(
         self, max_ticks: int, dt: float
-    ) -> tuple[int, list[bool], str]:
+    ) -> tuple[int, list[bool], str, list[Transfer]]:
         """Replay up to ``max_ticks`` download ticks in one call.
 
         Requires :meth:`steady_for_batching`.  Executes the exact
@@ -220,26 +226,26 @@ class Network:
         provably constant out of the loop: the schedule lookup (read
         again only on the tick whose start reaches ``next_change_at``,
         exactly as a fresh call at that instant would) and the
-        completion callback scan (the loop stops *before* any tick that
-        would complete a transfer, leaving it to the serial path;
-        control state mutated while planning that tick is restored, so
-        the serial tick re-runs it identically).  Fault change points
-        clamp the window, so dead air neither starts nor stops inside
-        it.  Tick start times are read from the clock's timeline, and
-        only on the ticks that use them.  One scan of the connections
-        (:func:`~repro.net.link.scan_busy`) finds the busy set; one busy
-        connection runs the single-flow kernel
-        (:meth:`_advance_one_flow`), any other busy set the multi-flow
-        kernel (:meth:`_advance_flows`), which plans its ticks with the
-        serial tick's planner.
+        completion callbacks (the window ends *on* the first tick that
+        completes a transfer, delivered by the serial tick's own step,
+        ``BottleneckLink.deliver``, and returns its completions
+        unfired).  Fault change points clamp the window, so dead air
+        neither starts nor stops inside it.  Tick start times are read
+        from the clock's timeline, and only on the ticks that use them.
+        One scan of the connections (:func:`~repro.net.link.scan_busy`)
+        finds the busy set; one busy connection runs the single-flow
+        kernel (:meth:`_advance_one_flow`), any other busy set the
+        multi-flow kernel (:meth:`_advance_flows`), which plans its
+        ticks with the serial tick's planner.
 
-        Returns ``(ticks_executed, per_tick_radio_activity, reason)``
-        where ``reason`` names why the loop returned (one of
-        ``ADVANCE_HORIZON`` / ``ADVANCE_COMPLETION`` /
-        ``ADVANCE_FAULT``).  ``completion`` is a promise: the very next
-        tick completes a transfer, so the caller can dispatch it
-        serially without a wasted re-probe.  The clock is NOT advanced
-        — the caller replays clock/RRC/player effects.
+        Returns ``(ticks_executed, per_tick_radio_activity, reason,
+        completed)`` where ``reason`` names why the loop returned (one
+        of ``ADVANCE_HORIZON`` / ``ADVANCE_COMPLETION`` /
+        ``ADVANCE_FAULT``).  On ``completion`` the last executed tick
+        completed the transfers in ``completed``, in busy order; the
+        caller fires them with :meth:`complete` once the clock stands
+        at that tick's start.  The clock is NOT advanced — the caller
+        replays clock/RRC/player effects.
         """
         check_positive("dt", dt)
         t = self.clock.now
@@ -252,7 +258,7 @@ class Network:
                     # An unfired (possibly no-op) reset is due: the
                     # serial path must execute this tick so the reset
                     # cursor advances exactly as in a serial run.
-                    return 0, [], ADVANCE_FAULT
+                    return 0, [], ADVANCE_FAULT, []
                 # Largest n with every tick start t + k*dt (k < n)
                 # strictly before the change.
                 clamp = int((fault_change - t - 1e-9) / dt) + 1
@@ -260,46 +266,60 @@ class Network:
                     max_ticks = clamp
                     clamp_reason = ADVANCE_FAULT
             dead_air = self.faults.dead_air_at(t)
-        # No transfer starts or ends inside a window, so the busy set is
-        # fixed for the call (a handshake that completes without a
-        # transfer leaves a connection whose steps stay no-ops).
+        # No transfer starts inside a window and it ends on the first
+        # completion, so the busy set is fixed for the call (a handshake
+        # that completes without a transfer leaves a connection whose
+        # steps stay no-ops).
         busy, pending, demands = scan_busy(self.connections)
         if len(busy) == 1 and busy[0]._transfer is not None:
-            executed, activity, capacity, completing = self._advance_one_flow(
+            executed, activity, capacity, completed = self._advance_one_flow(
                 busy[0], max_ticks, dt, dead_air
             )
         else:
-            executed, activity, capacity, completing = self._advance_flows(
+            executed, activity, capacity, completed = self._advance_flows(
                 busy, pending, demands, max_ticks, dt, dead_air
             )
-        if completing:
+        if completed:
             clamp_reason = ADVANCE_COMPLETION
-        if executed and self.schedule is not None:
-            # The serial loop asserts the schedule's capacity every tick;
-            # leave the link as the last executed tick left it.  Under
-            # dead air the serial tick restores the schedule capacity
-            # afterwards, so mirror that by asserting the un-faulted
-            # value.
-            self.link.set_capacity(capacity)
-        return executed, activity, clamp_reason
+        # The serial loop asserts the schedule's capacity every tick;
+        # leave the link as the last executed tick left it.  Under dead
+        # air the serial tick restores the schedule capacity afterwards,
+        # so mirror that by asserting the un-faulted value.
+        self.link.set_capacity(capacity)
+        return executed, activity, clamp_reason, completed
+
+    def _deliver(
+        self, busy: list[TcpConnection], allocations, dt: float,
+        executed: int, activity: list[bool],
+    ) -> list[Transfer]:
+        """Deliver window tick ``executed`` on the connections with the
+        serial tick's step, and note whether it carried bytes."""
+        link = self.link
+        before = link.total_bytes_delivered
+        completed = link.deliver(busy, allocations, dt,
+                                 self.clock.ahead(executed))
+        activity.append(link.total_bytes_delivered > before)
+        return completed
 
     def _advance_one_flow(
         self, connection: TcpConnection, max_ticks: int, dt: float,
         dead_air: bool,
-    ) -> tuple[int, list[bool], float, bool]:
+    ) -> tuple[int, list[bool], float, list[Transfer]]:
         """The single-flow kernel: :meth:`_advance_flows` for one busy
         connection with a transfer, on local variables.
 
         The water-fill collapses to the min with tolerance that
-        ``BottleneckLink.advance`` uses for one connection.  The
+        :func:`~repro.net.link.plan_tick` uses for one connection.  The
         transfer's ``delivered_bytes`` and ``first_byte_at``, the
         connection's ``total_bytes_received`` and ``cwnd_bytes`` and the
         link's ``total_bytes_delivered`` live in locals and are written
         back once, on every exit; the float operations and their order
-        are the walk's.  A tick that starts in handshake or request
-        latency runs ``advance_control`` and ``rate_cap_bps`` on the
-        connection itself: nothing was delivered in the window before
-        it, so the object and the locals still agree.
+        are the serial tick's.  A tick that starts in handshake or
+        request latency runs ``advance_control`` and ``rate_cap_bps`` on
+        the connection itself: nothing was delivered in the window
+        before it, so the object and the locals still agree.  The tick
+        that completes the transfer is delivered after the write-back,
+        by the serial tick's step, and ends the window.
         """
         link = self.link
         schedule = self.schedule
@@ -316,8 +336,7 @@ class Network:
         link_total = link.total_bytes_delivered
         pending = not connection.in_steady_transfer
         step_at = 0 if schedule is not None else max_ticks
-        read_at = -1
-        base_capacity = previous = link.capacity_bps
+        base_capacity = link.capacity_bps
         capacity = 0.0 if dead_air else base_capacity
         executed = 0
         activity: list[bool] = []
@@ -325,17 +344,11 @@ class Network:
         completing = False
         while executed < max_ticks:
             if executed == step_at:
-                read_at, previous = executed, base_capacity
                 base_capacity, step_at = _read_schedule(
                     schedule, clock.ahead(executed), executed, dt, max_ticks
                 )
                 capacity = 0.0 if dead_air else base_capacity
             if pending:
-                saved = (
-                    connection.state,
-                    connection._handshake_remaining_s,
-                    connection._request_latency_remaining_s,
-                )
                 connection.advance_control(dt)
                 demand = connection.rate_cap_bps()
             else:
@@ -355,14 +368,6 @@ class Network:
                 remaining = total - delivered_bytes
                 delivered = remaining if remaining < num_bytes else num_bytes
                 if delivered_bytes + delivered >= done_at:
-                    if pending:
-                        (
-                            connection.state,
-                            connection._handshake_remaining_s,
-                            connection._request_latency_remaining_s,
-                        ) = saved
-                    if read_at == executed:
-                        base_capacity = previous  # no tick ran at this rate
                     completing = True
                     break
                 if first_byte_at is None:
@@ -383,45 +388,47 @@ class Network:
         connection.total_bytes_received = received
         connection.cwnd_bytes = cwnd
         link.total_bytes_delivered = link_total
-        return executed, activity, base_capacity, completing
+        if not completing:
+            return executed, activity, base_capacity, []
+        completed = self._deliver([connection], (rate_bps,), dt, executed,
+                                  activity)
+        return executed + 1, activity, base_capacity, completed
 
     def _advance_flows(
         self, busy: list[TcpConnection], pending: list[int],
         demands: list[float], max_ticks: int, dt: float, dead_air: bool,
-    ) -> tuple[int, list[bool], float, bool]:
+    ) -> tuple[int, list[bool], float, list[Transfer]]:
         """The multi-flow kernel: :meth:`advance_many` over any other
         busy set (fleet cells, parallel-connection services), on
         per-flow locals.
 
         ``busy``, ``pending`` and ``demands`` are :func:`scan_busy`'s
         answer for the window's first tick.  Every tick is planned by
-        :func:`plan_tick`, the serial tick's planner, and committed only
-        if no transfer would complete on it.  The first tick is planned
-        and checked on the connections themselves, so a probe that stops
-        there restores the countdowns and returns without building
-        anything.  A window that runs moves each flow's
+        :func:`plan_tick`, the serial tick's planner.  The first tick is
+        a serial tick, delivered on the connections by the serial tick's
+        step; a window that runs on moves each flow's
         ``delivered_bytes``, ``total_bytes_received`` and ``cwnd_bytes``
         and the link's ``total_bytes_delivered`` into locals and writes
         them back once, on every exit; steady demands come from the
         local windows.  Per flow, in busy order, each tick runs the
-        serial tick's float operations in its order.
+        serial tick's float operations in its order.  A tick on which a
+        transfer completes is delivered after the write-back, by the
+        serial tick's step, and ends the window.
 
         Returns the ticks executed, their radio activity, the capacity
-        of the last executed tick and whether a completion stopped it.
+        of the last executed tick and the transfers it completed.
         """
         link = self.link
         schedule = self.schedule
         clock = self.clock
         step_at = 0 if schedule is not None else max_ticks
-        read_at = -1
-        base_capacity = previous = link.capacity_bps
+        base_capacity = link.capacity_bps
         capacity = 0.0 if dead_air else base_capacity
         executed = 0
         activity: list[bool] = []
         completing = False
         while executed < max_ticks:
             if executed == step_at:
-                read_at, previous = executed, base_capacity
                 base_capacity, step_at = _read_schedule(
                     schedule, clock.ahead(executed), executed, dt, max_ticks
                 )
@@ -430,11 +437,29 @@ class Network:
                 demands = [
                     cwnd * 8.0 / rtt for cwnd, rtt in zip(cwnds, rtts)
                 ]
-            allocations, saved = plan_tick(busy, pending, demands, capacity,
-                                           dt)
-            # Plan the tick; commit only if no transfer would complete.
-            moves = []
-            if executed:
+            allocations = plan_tick(busy, pending, demands, capacity, dt)
+            if not executed:
+                # The first tick is a serial tick, on the connections.
+                completed = self._deliver(busy, allocations, dt, 0, activity)
+                if completed or max_ticks == 1:
+                    return 1, activity, base_capacity, completed
+                # The window runs on: per-flow state moves into locals.
+                transfers = [c._transfer for c in busy]
+                totals = [
+                    t.total_bytes if t is not None else 0 for t in transfers
+                ]
+                done_at = [total - 1e-6 for total in totals]
+                delivered = [
+                    t.delivered_bytes if t is not None else 0.0
+                    for t in transfers
+                ]
+                received = [c.total_bytes_received for c in busy]
+                cwnds = [c.cwnd_bytes for c in busy]
+                caps = [c.max_cwnd_bytes for c in busy]
+                rtts = [c.rtt_s for c in busy]
+                link_total = link.total_bytes_delivered
+            else:
+                moves = []
                 for i, rate_bps in enumerate(allocations):
                     num_bytes = rate_bps * dt / 8.0
                     if num_bytes <= 0:
@@ -446,62 +471,23 @@ class Network:
                         completing = True
                         break
                     moves.append((i, moved))
-            else:
-                for i, rate_bps in enumerate(allocations):
-                    num_bytes = rate_bps * dt / 8.0
-                    if num_bytes <= 0:
-                        continue
-                    transfer = busy[i]._transfer
-                    got = transfer.delivered_bytes
-                    remaining = transfer.total_bytes - got
-                    moved = remaining if remaining < num_bytes else num_bytes
-                    if got + moved >= transfer.total_bytes - 1e-6:
-                        completing = True
-                        break
-                    moves.append((i, moved))
-                if not completing:
-                    # The window runs: per-flow state moves into locals.
-                    transfers = [c._transfer for c in busy]
-                    totals = [
-                        t.total_bytes if t is not None else 0
-                        for t in transfers
-                    ]
-                    done_at = [total - 1e-6 for total in totals]
-                    delivered = [
-                        t.delivered_bytes if t is not None else 0.0
-                        for t in transfers
-                    ]
-                    received = [c.total_bytes_received for c in busy]
-                    cwnds = [c.cwnd_bytes for c in busy]
-                    caps = [c.max_cwnd_bytes for c in busy]
-                    rtts = [c.rtt_s for c in busy]
-                    link_total = link.total_bytes_delivered
-            if completing:
-                # advance_control already ran for this aborted tick;
-                # put the countdowns back so the serial tick that takes
-                # over replays them identically.
-                for connection, state, handshake, latency in saved:
-                    connection.state = state
-                    connection._handshake_remaining_s = handshake
-                    connection._request_latency_remaining_s = latency
-                if read_at == executed:
-                    base_capacity = previous  # no tick ran at this rate
-                break
-            before_link = link_total
-            for i, moved in moves:
-                # Set at most once per transfer, so written through.
-                transfer = transfers[i]
-                if transfer.first_byte_at is None:
-                    transfer.first_byte_at = clock.ahead(executed)
-                delivered[i] += moved
-                before = received[i]
-                after = before + moved
-                received[i] = after
-                grown = cwnds[i] + moved
-                cap = caps[i]
-                cwnds[i] = cap if cap < grown else grown
-                link_total += after - before
-            activity.append(link_total > before_link)
+                if completing:
+                    break
+                before_link = link_total
+                for i, moved in moves:
+                    # Set at most once per transfer, so written through.
+                    transfer = transfers[i]
+                    if transfer.first_byte_at is None:
+                        transfer.first_byte_at = clock.ahead(executed)
+                    delivered[i] += moved
+                    before = received[i]
+                    after = before + moved
+                    received[i] = after
+                    grown = cwnds[i] + moved
+                    cap = caps[i]
+                    cwnds[i] = cap if cap < grown else grown
+                    link_total += after - before
+                activity.append(link_total > before_link)
             executed += 1
             if pending:
                 pending = [
@@ -516,7 +502,10 @@ class Network:
                 connection.total_bytes_received = after
                 connection.cwnd_bytes = cwnd
             link.total_bytes_delivered = link_total
-        return executed, activity, base_capacity, completing
+        if not completing:
+            return executed, activity, base_capacity, []
+        completed = self._deliver(busy, allocations, dt, executed, activity)
+        return executed + 1, activity, base_capacity, completed
 
 
 def _read_schedule(

@@ -218,8 +218,8 @@ class TcpConnection:
         handful of iterations; once the per-tick quantum is constant the
         remaining tick count is a single division.  The result is
         advisory and deliberately biased one tick HIGH: the batched
-        replay checks completion exactly before every tick it commits
-        and stops itself, so overshooting costs nothing while
+        replay checks completion exactly on every tick and ends its
+        window there, so overshooting costs nothing while
         undershooting would strand batchable ticks on the serial path.
         """
         transfer = self._transfer

@@ -542,8 +542,8 @@ class Player:
 
         The download-phase sibling of :meth:`idle_noop_ticks`: the caller
         guarantees at least one transfer is in flight and that no
-        transfer will complete inside the returned window (the network
-        applies its own horizon and stops before any completion).  Under
+        transfer completes inside the replayed ticks (a window ends on
+        its completing tick, which the event loop dispatches).  Under
         that premise buffers never gain content, so the only per-tick
         player effects are the playhead (when PLAYING), the segment
         starts it crosses and the 1 Hz UI samples, all replayed by

@@ -148,7 +148,9 @@ class Scheduler:
 
     def inflight(self, stream_type: StreamType | None = None) -> int:
         if stream_type is None:
-            return sum(len(jobs) for jobs in self._inflight.values())
+            inflight = self._inflight
+            return (len(inflight[StreamType.VIDEO])
+                    + len(inflight[StreamType.AUDIO]))
         return len(self._inflight[stream_type])
 
     def inflight_jobs(self, stream_type: StreamType) -> list[FetchJob]:
@@ -226,9 +228,10 @@ class Scheduler:
             ) or None,
         )
         if self.tracer.enabled:
-            # Completions only ever run on serial ticks (advance_many
-            # stops before any completing tick), so these span
-            # boundaries are exact in batched runs too.
+            # Completions only ever fire on dispatched ticks (a batched
+            # window ends on its completing tick, which the event loop
+            # dispatches), so these span boundaries are exact in
+            # batched runs too.
             self.tracer.emit(
                 DownloadSpan(
                     at=self.network.clock.now,

@@ -29,6 +29,7 @@ from repro.core.parallel import (
 )
 from repro.core.run import run_one
 from repro.core.session import Session
+from repro.net.network import Network
 from repro.net.schedule import StepSchedule, TraceSchedule
 from repro.net.traces import cellular_profiles
 from repro.obs import semantic_trace
@@ -192,6 +193,38 @@ def test_single_session_dispatch_structure_is_pinned(name):
     assert session.dispatch_counts == labels
     assert session.advance_stop_counts == stops
     assert (session.queue.pushed_total, session.queue.cancelled_total) == queue
+
+
+def test_each_tick_is_planned_once():
+    """A window ends on its completing tick, so no serial tick plans
+    that tick again: of the pinned D1 session's 513 dispatched ticks,
+    the 395 that end a window on a completion run without
+    ``Network.advance``, which runs the other 118, and no window
+    returns 0 ticks unless a fault is due."""
+    spec, stats, _, stops, _ = DISPATCH_PINS["D1-profile-11-600s"]
+    serial_ticks = [0]
+    empty = []
+    advance = Network.advance
+    advance_many = Network.advance_many
+
+    def counting(self, dt):
+        serial_ticks[0] += 1
+        return advance(self, dt)
+
+    def recording(self, max_ticks, dt):
+        result = advance_many(self, max_ticks, dt)
+        if result[0] == 0:
+            empty.append(result[2])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Network, "advance", counting)
+        patch.setattr(Network, "advance_many", recording)
+        session = spec.build()
+        session.run(spec.duration_s)
+    assert serial_ticks[0] == 118
+    assert serial_ticks[0] == stats.ticks_executed - stops["completion"]
+    assert all(reason == "fault" for reason in empty)
 
 
 def test_fault_change_dispatches_are_classified():

@@ -23,7 +23,7 @@ from repro.core.events import EventType
 from repro.core.fleet import FleetSession, FleetSpec
 from repro.core.multi import flows_by_asset
 from repro.core.parallel import TickStats
-from repro.net.network import Network
+from repro.net.network import ADVANCE_COMPLETION, Network
 from repro.net.schedule import ConstantSchedule, StepSchedule
 from repro.player.player import Player
 from repro.services.profiles import ALL_SERVICE_NAMES
@@ -134,15 +134,20 @@ def test_bench_cell_runs_few_full_ticks():
 
 
 def test_transfer_ticks_are_the_ticks_advance_many_returned():
-    """A fleet counts its ``advance_many`` windows as transfer ticks."""
+    """A fleet counts its ``advance_many`` windows as transfer ticks,
+    all but the completing tick a completion stop ends on, which the
+    loop dispatches."""
     windows = []
     advance_many = Network.advance_many
 
     def recording(self, max_ticks, dt):
-        executed, activity, reason = advance_many(self, max_ticks, dt)
+        result = advance_many(self, max_ticks, dt)
+        executed, _, reason, _ = result
+        if reason == ADVANCE_COMPLETION:
+            executed -= 1
         if executed > 0:
             windows.append(executed)
-        return executed, activity, reason
+        return result
 
     spec = FleetSpec(services=("H1", "D1"), schedule=ConstantSchedule(4e6),
                      duration_s=120.0, engine="event")

@@ -549,20 +549,19 @@ class TestAdvanceMany:
         batched_activity = []
         ticks = 0
         while ticks < n:
-            executed, activity, reason = net_b.advance_many(n - ticks, 0.1)
-            if executed == 0:
-                assert reason == "completion"
-                before = net_b.link.total_bytes_delivered
-                net_b.advance(0.1)
-                batched_activity.append(
-                    net_b.link.total_bytes_delivered > before
-                )
-                clock_b.tick()
-                ticks += 1
-                continue
+            executed, activity, reason, completed = net_b.advance_many(
+                n - ticks, 0.1
+            )
             batched_activity.extend(activity)
-            for _ in range(executed):
+            if completed:
+                # Fired at the completing tick's start, as a serial
+                # tick fires them.
+                assert reason == "completion"
+                clock_b.advance(executed - 1)
+                net_b.complete(completed)
                 clock_b.tick()
+            else:
+                clock_b.advance(executed)
             ticks += executed
         assert batched_activity == serial_activity
         assert net_b.link.total_bytes_delivered == net_a.link.total_bytes_delivered
@@ -587,12 +586,14 @@ class TestAdvanceMany:
     def test_stop_reason_agrees_with_serial_replay(self):
         """Property: each reported stop reason is verifiable on a twin.
 
-        The event engine trusts ``completion`` enough to dispatch the
-        next tick without re-probing, so a misreported reason is a
-        correctness bug, not a performance one.  A serially-replayed
-        twin network checks every claim: ``completion`` means the very
-        next tick finishes a transfer, ``horizon`` means the full
-        request was executed.  Bandwidth change points end no batch.
+        The event engine trusts ``completion`` enough to fire the
+        returned transfers at the last tick's start, so a misreported
+        reason is a correctness bug, not a performance one.  A
+        serially-replayed twin network checks every claim:
+        ``completion`` means the last executed tick, and no earlier
+        one, finishes exactly the returned transfers, ``horizon`` means
+        the full request was executed without one.  Bandwidth change
+        points end no batch.
         """
         from hypothesis import given, settings
         from hypothesis import strategies as st
@@ -610,22 +611,23 @@ class TestAdvanceMany:
             (clock_a, net_a, done_a), (clock_b, net_b, done_b) = pair
             dt = 0.1
             for chunk in chunks:
-                executed, _, reason = net_b.advance_many(chunk, dt)
-                for _ in range(executed):
-                    clock_b.tick()
+                executed, _, reason, completed = net_b.advance_many(chunk, dt)
                 # Twin replays the same window serially.
                 for _ in range(executed):
+                    before = len(done_a)
                     net_a.advance(dt)
                     clock_a.tick()
                 if reason == "horizon":
                     assert executed == chunk
+                    assert not completed
+                    assert len(done_b) == len(done_a)
+                    clock_b.advance(executed)
                 elif reason == "completion":
-                    before = len(done_a)
-                    net_a.advance(dt)
-                    clock_a.tick()
-                    net_b.advance(dt)
+                    assert len(done_a) - before == len(completed) > 0
+                    clock_b.advance(executed - 1)
+                    assert len(done_b) == before  # none fired yet
+                    net_b.complete(completed)
                     clock_b.tick()
-                    assert len(done_a) > before
                     assert len(done_b) == len(done_a)
                 else:  # pragma: no cover - no faults in this network
                     raise AssertionError(f"unexpected reason {reason!r}")
@@ -636,6 +638,26 @@ class TestAdvanceMany:
                 )
 
         check()
+
+    def test_completions_come_back_unfired_in_busy_order(self):
+        """A window fires no callback: it returns the transfers its last
+        tick completed, in busy order, and the count stays 0 until the
+        caller fires them with ``Network.complete`` at that tick's
+        start.  Two equal bodies on equal connections complete on the
+        same tick."""
+        (clock, network, done), _ = self._session_pair(100_000, 2)
+        transfers = [c.transfer for c in network.connections]
+        executed, _, reason, completed = network.advance_many(60, 0.1)
+        assert reason == ADVANCE_COMPLETION
+        assert len(completed) == 2
+        assert all(got is want for got, want in zip(completed, transfers))
+        assert done == []
+        clock.advance(executed - 1)
+        network.complete(completed)
+        assert [response.request.url for response in done] == [
+            "/seg0", "/seg1"
+        ]
+        assert all(response.completed_at == clock.now for response in done)
 
 
 # The stop reason of the walks below, which ended a batch at every
@@ -1058,25 +1080,63 @@ KINDS = st.tuples(*(st.integers(0, 2) for _ in range(7))).filter(
     lambda kinds: sum(kinds) > 0)
 
 
-def _assert_one_call_equals_the_chain(walk, chained, single, chunks):
+def _completing_tick(link_walk, network, dt):
+    """The serial tick a walk's ``completion`` stop handed over, with
+    its completions left unfired: ``Network.advance``'s capacity steps
+    around ``link_walk``, a verbatim link walk.  Returns whether it
+    carried bytes and the transfers it completed; the clock ticks."""
+    now = network.clock.now
+    link = network.link
+    capacity = network.schedule.bandwidth_at(now)
+    dead = network.faults is not None and network.faults.dead_air_at(now)
+    link.set_capacity(0.0 if dead else capacity)
+    before = link.total_bytes_delivered
+    completed = link_walk(link, network.connections, dt, now)
+    link.set_capacity(capacity)
+    network.clock.tick()
+    return link.total_bytes_delivered > before, completed
+
+
+def _completions(transfers, completed):
+    """Each completed transfer's place among ``transfers`` (the
+    connections' transfers before the call) and its final state."""
+    return [
+        (next(i for i, t in enumerate(transfers) if t is transfer),
+         _transfer_state(transfer))
+        for transfer in completed
+    ]
+
+
+def _assert_one_call_equals_the_chain(walk, chained, single, chunks,
+                                      link_walk=_link_advance_busy):
     """Each ``advance_many`` call on ``single`` equals ``walk`` chained
-    over the same ticks on the twin ``chained``: ticks, activity, stop
-    reason, clock and every connection, transfer and link total.  A
-    completion or fault stop hands the next tick to the serial path on
-    both."""
+    over the same ticks on the twin ``chained`` and, after a
+    ``completion`` stop, the serial tick it handed over (``link_walk``):
+    ticks, activity, stop reason, the completed transfers, unfired and
+    in busy order, clock and every connection, transfer and link total.
+    A fault stop hands the next tick to the serial path on both."""
     clock_a, net_a = chained
     clock_b, net_b = single
     assert _network_state(net_a) == _network_state(net_b)
     for chunk in chunks:
         if not net_b.steady_for_batching():
             break
-        expected = _chain(walk, net_a, chunk, 0.1)
+        flows_a = [c.transfer for c in net_a.connections]
+        flows_b = [c.transfer for c in net_b.connections]
+        executed, activity, reason = _chain(walk, net_a, chunk, 0.1)
+        completed = []
+        if reason == ADVANCE_COMPLETION:
+            carried, completed = _completing_tick(link_walk, net_a, 0.1)
+            executed += 1
+            activity.append(carried)
         got = net_b.advance_many(chunk, 0.1)
         clock_b.advance(got[0])
-        assert got == expected
+        assert got[:3] == (executed, activity, reason)
+        assert _completions(flows_b, got[3]) == _completions(flows_a,
+                                                             completed)
         assert clock_b.now == clock_a.now
         assert _network_state(net_a) == _network_state(net_b)
-        if got[2] != ADVANCE_HORIZON or got[0] == 0:
+        if got[2] == ADVANCE_FAULT:
             for clock, network in (chained, single):
                 network.advance(0.1)
                 clock.tick()
@@ -1126,6 +1186,7 @@ class TestBusyOnlyWalk:
             _mixed_network(kinds, size_bytes, dead_air),
             _mixed_network(kinds, size_bytes, dead_air),
             chunks,
+            link_walk=_link_advance_all,
         )
 
     def test_advance_many_checks_dt_once(self):
@@ -1318,8 +1379,9 @@ class TestSingleFlowKernel:
     """With one busy connection ``advance_many`` runs the single-flow
     kernel.  In every phase that connection can start a window in, each
     call equals the walk that stopped at every change point, chained as
-    the engines drove it: ticks, activity, stop reason, clock and every
-    connection, transfer and link total, bit for bit."""
+    the engines drove it, through the completing tick: ticks, activity,
+    stop reason, completions, clock and every connection, transfer and
+    link total, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=one_flow_cases(),
@@ -1336,7 +1398,8 @@ class TestSingleFlowKernel:
     def test_completion_stops_before_the_drawn_tick(self, phase,
                                                     completes_at):
         """The size probe lands the completion where it was asked, so
-        the property above covers stops at tick 0, tick 1 and later."""
+        the property above covers windows that end on tick 0, tick 1
+        and later: the window ends on the drawn tick."""
         case = SimpleNamespace(
             phase=phase, window=60, schedule=lambda now: ConstantSchedule(
                 ONE_FLOW_RATES.get(phase, ALL_RATES)[1]),
@@ -1345,12 +1408,14 @@ class TestSingleFlowKernel:
         )
         clock, network, flow = _one_flow_network(
             case, _size_completing_at(case, completes_at))
-        executed, _, reason = network.advance_many(60, 0.1)
+        transfer = flow.transfer
+        executed, _, reason, completed = network.advance_many(60, 0.1)
         assert reason == ADVANCE_COMPLETION
+        assert len(completed) == 1 and completed[0] is transfer
         # A handshake shorter than a tick leaves the request latency for
         # tick 1; a latency that short ends (and delivers) on tick 0.
         first = 1 if phase == "handshaking" else 0
-        assert executed == max(completes_at, first)
+        assert executed == max(completes_at, first) + 1
 
     def test_cwnd_reaches_its_cap_inside_a_window(self):
         case = SimpleNamespace(
@@ -1361,8 +1426,8 @@ class TestSingleFlowKernel:
         )
         clock, network, flow = _one_flow_network(case, HUGE_BYTES)
         assert flow.cwnd_bytes < flow.max_cwnd_bytes
-        executed, _, reason = network.advance_many(60, 0.1)
-        assert (executed, reason) == (60, ADVANCE_HORIZON)
+        executed, _, reason, completed = network.advance_many(60, 0.1)
+        assert (executed, reason, completed) == (60, ADVANCE_HORIZON, [])
         assert flow.cwnd_bytes == flow.max_cwnd_bytes
 
 
@@ -1474,7 +1539,8 @@ class TestMultiFlowKernel:
     connections.  On either allocator, each serial tick equals the
     verbatim busy-only walk, and each ``advance_many`` call equals the
     walk that stopped at every change point, chained as the engines
-    drove it: every connection, transfer and link total, bit for bit."""
+    drove it, through the completing tick: completions and every
+    connection, transfer and link total, bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=cell_cases())
@@ -1517,8 +1583,9 @@ class TestMultiFlowKernel:
     def test_completion_stops_before_the_drawn_tick(self, position,
                                                     completes_at):
         """The size probe lands the completion where it was asked, in
-        any place in busy order, so the properties above cover probes
-        that stop on their first tick and windows that stop later."""
+        any place in busy order, so the properties above cover windows
+        that end on their first tick and windows that end later: the
+        window ends on the drawn tick."""
         case = SimpleNamespace(
             kinds=(3, 3, 3, 40, 0, 0, 0), size_bytes=20_000, rtt_s=0.05,
             extra_s=0.0, dead_air=False, offsets=[], phase=0.0,
@@ -1526,9 +1593,10 @@ class TestMultiFlowKernel:
         )
         clock, network = _cell_network(case, _total_completing_at(case))
         flow = _completing_flow(network, position)
-        executed, _, reason = network.advance_many(60, 0.1)
-        assert (executed, reason) == (completes_at, ADVANCE_COMPLETION)
-        network.advance(0.1)
+        transfer = flow.transfer
+        executed, _, reason, completed = network.advance_many(60, 0.1)
+        assert (executed, reason) == (completes_at + 1, ADVANCE_COMPLETION)
+        assert len(completed) == 1 and completed[0] is transfer
         assert flow.transfer is None
         assert all(c.transfer for c in network.connections
                    if c.busy and c is not flow)

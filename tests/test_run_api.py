@@ -278,3 +278,16 @@ def test_cli_resilience_writes_metrics_json(capsys, tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert any(row["name"] == "session.runs" for row in payload["counters"])
+
+
+def test_cli_fleet_writes_json(capsys, tmp_path):
+    path = tmp_path / "fleet.json"
+    code = main([
+        "fleet", "H1", "D1", "--clients", "4", "--cell-mbps", "4",
+        "--duration", "20", "--content-duration", "10",
+        "--json", str(path),
+    ])
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert {"clients", "population", "tick_stats"} <= payload.keys()
+    assert capsys.readouterr().out  # population summary printed
