@@ -12,8 +12,7 @@ There is one event loop, :class:`~repro.core.multi.EventDrivenMultiSession`,
 and a single session is its one-client case (DESIGN.md §4q):
 :class:`EventDrivenSession` combines the session's radio, probe extras,
 end rule and result (:class:`~repro.core.session.Session`) with that
-loop, and adds only the run metrics the loop's counters feed.  Each
-producer owns its deadline:
+loop.  Each producer owns its deadline:
 
 * **Player**: one ``PLAYER_WAKE`` per client, the minimum over the
   margin contracts (ABR drain thresholds, rebuffer/resume flips, retry
@@ -48,29 +47,6 @@ class EventDrivenSession(Session, EventDrivenMultiSession):
         # times EventDrivenSession.run and EventDrivenMultiSession.run
         # as two layers, single sessions apart from shared cells.
         return self._run_events(duration_s)
-
-    def _record_metrics(self) -> None:
-        """Per-label dispatch counts and queue stats, on top of the
-        base session counters.  All pure functions of the RunSpec (the
-        sweep-aggregation contract): the queue's content is fully
-        determined by the spec's faults and the deterministic producers.
-        """
-        super()._record_metrics()
-        metrics = self.obs.metrics
-        metrics.counter("session.dispatches").inc(self.events_dispatched)
-        for kind in sorted(self.dispatch_counts):
-            metrics.counter("session.events", type=kind).inc(
-                self.dispatch_counts[kind]
-            )
-        metrics.counter("session.queue_pushes").inc(self.queue.pushed_total)
-        metrics.counter("session.queue_cancelled").inc(
-            self.queue.cancelled_total
-        )
-        metrics.gauge("session.queue_depth_max").set(self.max_queue_depth)
-        for reason in sorted(self.advance_stop_counts):
-            metrics.counter("session.advance_stops", reason=reason).inc(
-                self.advance_stop_counts[reason]
-            )
 
 
 # The queue's names stay importable from here, where the engine's

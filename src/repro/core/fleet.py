@@ -610,6 +610,7 @@ def run_fleet(
     population = summarize_population(records)
     registry = MetricsRegistry()
     _populate_registry(registry, records, population)
+    session.session.record_loop_metrics(registry)
     return FleetOutcome(
         spec=spec,
         clients=records,

@@ -57,6 +57,7 @@ from repro.net.network import Network
 from repro.net.rrc import RrcMachine
 from repro.net.schedule import BandwidthSchedule
 from repro.obs import NULL_TRACER, EventJump, Tracer
+from repro.obs.metrics import MetricsRegistry
 from repro.player.events import SegmentPlayStarted, SessionEnded
 from repro.player.player import Player, PlayerState
 from repro.server.origin import OriginServer
@@ -265,6 +266,9 @@ class MultiSession:
                 break
         return self._finish()
 
+    def record_loop_metrics(self, metrics: MetricsRegistry) -> None:
+        """Record the event loop's counters; the tick oracle keeps none."""
+
     def _advance_network(self, dt: float) -> None:
         """One tick of the shared link; the radio, if any, observes
         whether it carried bytes."""
@@ -462,6 +466,29 @@ class EventDrivenMultiSession(MultiSession):
 
     def run(self, duration_s: float) -> list[ClientResult]:
         return self._run_events(duration_s)
+
+    def record_loop_metrics(self, metrics: MetricsRegistry) -> None:
+        """Dispatches by label, queue pushes and cancels, the deepest
+        queue and ``advance_many`` stops by reason, for a session and a
+        fleet alike.  All are pure functions of the spec (the
+        sweep-aggregation contract): the queue's content is fully
+        determined by the faults, the churn and the deterministic
+        producers.
+        """
+        metrics.counter("session.dispatches").inc(self.events_dispatched)
+        for kind in sorted(self.dispatch_counts):
+            metrics.counter("session.events", type=kind).inc(
+                self.dispatch_counts[kind]
+            )
+        metrics.counter("session.queue_pushes").inc(self.queue.pushed_total)
+        metrics.counter("session.queue_cancelled").inc(
+            self.queue.cancelled_total
+        )
+        metrics.gauge("session.queue_depth_max").set(self.max_queue_depth)
+        for reason in sorted(self.advance_stop_counts):
+            metrics.counter("session.advance_stops", reason=reason).inc(
+                self.advance_stop_counts[reason]
+            )
 
     def _run_events(self, duration_s: float):
         """The event loop: dispatch event instants, batch between them.

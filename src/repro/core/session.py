@@ -206,3 +206,4 @@ class Session(MultiSession):
         metrics.counter("rrc.energy_j").inc(self.rrc.energy_j)
         self.network.metrics_into(metrics)
         self.player.metrics_into(metrics)
+        self.record_loop_metrics(metrics)

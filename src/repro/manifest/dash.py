@@ -15,11 +15,13 @@ Two addressing layouts the paper observes are supported (section 2.3):
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import struct
 from dataclasses import dataclass
 from xml.etree import ElementTree
 
+from repro.media.cache import DEFAULT_CAPACITY
 from repro.media.track import MediaAsset, StreamType, Track
 from repro.manifest.types import (
     ClientManifest,
@@ -100,8 +102,13 @@ class SidxBox:
         return [ref.subsegment_duration / self.timescale for ref in self.references]
 
 
+@functools.lru_cache(maxsize=DEFAULT_CAPACITY)
 def parse_sidx(data: bytes) -> SidxBox:
-    """Decode a version-0 sidx box from ``data``."""
+    """Decode a version-0 sidx box from ``data``.
+
+    Memoised on ``data``; the box is frozen, so every caller may share
+    it (DESIGN.md §4s).
+    """
     if len(data) < _SIDX_HEADER.size + _SIDX_COUNTS.size:
         raise ManifestError("sidx truncated")
     (size, box_type, version, _flags, reference_id, timescale,
@@ -509,10 +516,22 @@ def segments_from_sidx(
 
     The anchor point for the first referenced subsegment is the end of
     the index range plus ``first_offset``, per ISO/IEC 14496-12.
+    Memoised on what it reads of ``track`` and on ``sidx``: each call
+    returns a list of its own over the shared frozen infos (DESIGN.md
+    §4s).
     """
     if track.index_byte_range is None or track.media_url is None:
         raise ManifestError(f"track {track.track_key} is not sidx-addressed")
-    offset = track.index_byte_range[1] + 1 + sidx.first_offset
+    return list(
+        _segments_from_sidx(track.index_byte_range[1], track.media_url, sidx)
+    )
+
+
+@functools.lru_cache(maxsize=DEFAULT_CAPACITY)
+def _segments_from_sidx(
+    index_end: int, media_url: str, sidx: SidxBox
+) -> tuple[ClientSegmentInfo, ...]:
+    offset = index_end + 1 + sidx.first_offset
     segments: list[ClientSegmentInfo] = []
     position = 0.0
     for index, ref in enumerate(sidx.references):
@@ -522,11 +541,11 @@ def segments_from_sidx(
                 index=index,
                 start_s=position,
                 duration_s=duration_s,
-                url=track.media_url,
+                url=media_url,
                 byte_range=(offset, offset + ref.referenced_size - 1),
                 size_bytes=ref.referenced_size,
             )
         )
         offset += ref.referenced_size
         position += duration_s
-    return segments
+    return tuple(segments)

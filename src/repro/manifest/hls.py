@@ -9,8 +9,10 @@ tracks, section 3.1) and use one media file per segment (footnote 3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from repro.media.cache import DEFAULT_CAPACITY
 from repro.media.track import MediaAsset, StreamType, Track
 from repro.manifest.types import (
     ClientManifest,
@@ -137,7 +139,16 @@ def parse_master_playlist(text: str, url: str) -> ClientManifest:
 
 
 def parse_media_playlist(text: str, url: str) -> list[ClientSegmentInfo]:
-    """Parse an HLS Media Playlist into segment infos (sizes unknown)."""
+    """Parse an HLS Media Playlist into segment infos (sizes unknown).
+
+    Memoised on ``(text, url)``: each call returns a list of its own
+    over the shared frozen infos (DESIGN.md §4s).
+    """
+    return list(_parse_media_playlist(text, url))
+
+
+@functools.lru_cache(maxsize=DEFAULT_CAPACITY)
+def _parse_media_playlist(text: str, url: str) -> tuple[ClientSegmentInfo, ...]:
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != "#EXTM3U":
         raise ManifestError("not an HLS playlist: missing #EXTM3U")
@@ -162,4 +173,4 @@ def parse_media_playlist(text: str, url: str) -> list[ClientSegmentInfo]:
             duration = None
     if not segments:
         raise ManifestError("media playlist lists no segments")
-    return segments
+    return tuple(segments)

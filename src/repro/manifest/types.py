@@ -27,9 +27,13 @@ class Protocol(enum.Enum):
     SMOOTH = "smooth"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientSegmentInfo:
-    """What a client knows about one segment before downloading it."""
+    """What a client knows about one segment before downloading it.
+
+    Frozen: the memoised parse entry points hand the same infos to every
+    caller, each inside a list of its own (DESIGN.md §4s).
+    """
 
     index: int
     start_s: float

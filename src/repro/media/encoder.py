@@ -83,8 +83,17 @@ class Encoder:
         declared = [rung.declared_bitrate_bps for rung in ladder]
         if declared != sorted(declared):
             raise ValueError("ladder rungs must have ascending declared bitrates")
+        grid = segment_grid(content.duration_s, self.settings.segment_duration_s)
+        # Every rung encodes over the same grid, so the per-segment
+        # complexity means are computed once, and only when VBR reads them.
+        means: list[float] = []
+        if self.settings.mode is EncodingMode.VBR:
+            means = [
+                content.complexity.mean_over(start, duration)
+                for start, duration in grid
+            ]
         tracks = [
-            self._encode_video_track(content, rung, level)
+            self._encode_video_track(content, rung, level, grid, means)
             for level, rung in enumerate(ladder)
         ]
         return tuple(tracks)
@@ -118,10 +127,14 @@ class Encoder:
         )
 
     def _encode_video_track(
-        self, content: VideoContent, rung: LadderRung, level: int
+        self,
+        content: VideoContent,
+        rung: LadderRung,
+        level: int,
+        grid: list[tuple[float, float]],
+        means: list[float],
     ) -> Track:
-        grid = segment_grid(content.duration_s, self.settings.segment_duration_s)
-        target_avg = self._target_average_bitrate(content, rung, grid)
+        target_avg = self._target_average_bitrate(rung, means)
         rng = self._rng.child(f"video/{level}/{content.content_id}")
         segments: list[Segment] = []
         for index, (start, duration) in enumerate(grid):
@@ -139,7 +152,7 @@ class Encoder:
                     1.0 - 2 * self.settings.vbr_noise,
                     1.0 + 2 * self.settings.vbr_noise,
                 )
-                factor = content.complexity.mean_over(start, duration) * noise
+                factor = means[index] * noise
             size = max(1, int(round(target_avg * duration / 8.0 * factor)))
             segments.append(
                 Segment(index=index, start_s=start, duration_s=duration, size_bytes=size)
@@ -154,23 +167,19 @@ class Encoder:
         )
 
     def _target_average_bitrate(
-        self,
-        content: VideoContent,
-        rung: LadderRung,
-        grid: list[tuple[float, float]],
+        self, rung: LadderRung, means: list[float]
     ) -> float:
         """Invert the declared-bitrate policy to find the encoding target.
 
         With a PEAK policy and VBR content, the declared bitrate sits at
-        the largest per-segment complexity, so the average actual bitrate
-        ends up well below it (the paper observes roughly half for D1/D2).
+        the largest per-segment complexity mean, so the average actual
+        bitrate ends up well below it (the paper observes roughly half
+        for D1/D2).
         """
         if (
             self.settings.mode is EncodingMode.CBR
             or self.settings.declared_policy is DeclaredBitratePolicy.AVERAGE
         ):
             return rung.declared_bitrate_bps
-        peak_factor = max(
-            content.complexity.mean_over(start, duration) for start, duration in grid
-        )
+        peak_factor = max(means)
         return rung.declared_bitrate_bps / max(peak_factor, 1.0)

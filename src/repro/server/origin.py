@@ -4,18 +4,22 @@ Hosts media assets in any of the three HAS protocols: it materialises
 the manifests via the builders in :mod:`repro.manifest`, registers a
 resource per URL, and answers GET/HEAD requests (with byte-range
 support for DASH single-file tracks, whose head bytes are the real
-encoded sidx box).
+encoded sidx box).  An asset's URL → resource table is built once per
+asset and hosting key, and each server mounts a copy of it.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.manifest.dash import DashBuilder, SegmentAddressing
 from repro.manifest.hls import HlsBuilder
 from repro.manifest.modifier import ManifestCipher
 from repro.manifest.smooth import SmoothBuilder
+from repro.manifest.types import Protocol
 from repro.media.track import MediaAsset
 from repro.net.http import HttpMethod, HttpRequest, HttpStatus, ResponsePlan
 
@@ -101,6 +105,114 @@ class SmoothHosting(Hosting):
     builder: SmoothBuilder = field(repr=False, default=None)  # type: ignore[assignment]
 
 
+class _HostedTables:
+    """Each hosted asset's URL → resource table, built once per key.
+
+    A table is a pure function of its asset and key (protocol, base URL
+    and, for DASH, the addressing and the cipher), so every server that
+    hosts the asset under that key mounts a copy of the same table.
+    Entries are keyed by asset identity and dropped by a finalizer when
+    the asset dies, so the asset cache's bound also bounds this memo.
+    Tables hold only text, sizes and sidx bytes: nothing here keeps an
+    asset alive (DESIGN.md §4s).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: dict[int, dict[tuple, dict[str, object]]] = {}
+
+    def get(
+        self,
+        asset: MediaAsset,
+        key: tuple,
+        build: Callable[[], dict[str, object]],
+    ) -> dict[str, object]:
+        with self._lock:
+            tables = self._tables.get(id(asset))
+            if tables is None:
+                tables = self._tables[id(asset)] = {}
+                # dict.pop takes no lock of ours, so the finalizer may run
+                # in any thread, also in a collection that an allocation
+                # below triggers while this thread holds the lock.
+                weakref.finalize(
+                    asset, self._tables.pop, id(asset), None
+                ).atexit = False
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = build()
+            return table
+
+
+_HOSTED = _HostedTables()
+
+
+def _register(table: dict[str, object], url: str, resource) -> None:
+    if url in table:
+        raise ValueError(f"duplicate resource URL: {url}")
+    table[url] = resource
+
+
+def _hls_table(builder: HlsBuilder) -> dict[str, object]:
+    table: dict[str, object] = {}
+    _register(table, builder.master_url,
+              _TextResource(builder.master_playlist()))
+    for track in builder.asset.video_tracks:
+        _register(
+            table,
+            builder.media_playlist_url(track),
+            _TextResource(builder.media_playlist(track)),
+        )
+        for segment in track.segments:
+            _register(
+                table,
+                builder.segment_url(track, segment.index),
+                _OpaqueResource(segment.size_bytes),
+            )
+    return table
+
+
+def _dash_table(
+    builder: DashBuilder, mpd_text: str, cipher: Optional[ManifestCipher]
+) -> dict[str, object]:
+    if cipher is not None:
+        mpd_text = cipher.encrypt(mpd_text)
+    table: dict[str, object] = {}
+    _register(table, builder.mpd_url, _TextResource(mpd_text))
+    asset = builder.asset
+    for track in asset.video_tracks + asset.audio_tracks:
+        if builder.addressing is SegmentAddressing.TEMPLATE:
+            for segment in track.segments:
+                _register(
+                    table,
+                    builder.template_segment_url(track, segment.index),
+                    _OpaqueResource(segment.size_bytes),
+                )
+            continue
+        _register(
+            table,
+            builder.media_url(track),
+            _MediaFileResource(
+                total_size=builder.media_file_size(track),
+                header=builder.sidx(track).encode(),
+            ),
+        )
+    return table
+
+
+def _smooth_table(builder: SmoothBuilder) -> dict[str, object]:
+    table: dict[str, object] = {}
+    _register(table, builder.manifest_url, _TextResource(builder.manifest()))
+    asset = builder.asset
+    for track in asset.video_tracks + asset.audio_tracks:
+        for segment in track.segments:
+            _register(
+                table,
+                builder.fragment_url(track, segment.index),
+                _OpaqueResource(segment.size_bytes),
+            )
+    return table
+
+
 class OriginServer:
     """A content server addressed purely by URL (plus byte ranges)."""
 
@@ -112,17 +224,9 @@ class OriginServer:
 
     def host_hls(self, asset: MediaAsset, base_url: str) -> HlsHosting:
         builder = HlsBuilder(base_url=base_url, asset=asset)
-        self._register(builder.master_url, _TextResource(builder.master_playlist()))
-        for track in asset.video_tracks:
-            self._register(
-                builder.media_playlist_url(track),
-                _TextResource(builder.media_playlist(track)),
-            )
-            for segment in track.segments:
-                self._register(
-                    builder.segment_url(track, segment.index),
-                    _OpaqueResource(segment.size_bytes),
-                )
+        self._mount(_HOSTED.get(
+            asset, (Protocol.HLS, base_url), lambda: _hls_table(builder)
+        ))
         return HlsHosting(asset=asset, manifest_url=builder.master_url, builder=builder)
 
     def host_dash(
@@ -138,28 +242,19 @@ class OriginServer:
 
         ``cipher`` enables D3-style application-layer MPD encryption.
         ``mpd_override`` substitutes manifest text (used by black-box
-        experiments that serve modified variants from the proxy side).
+        experiments that serve modified variants from the proxy side);
+        its table is built for this call alone.
         """
         builder = DashBuilder(base_url=base_url, asset=asset, addressing=addressing)
-        mpd_text = mpd_override if mpd_override is not None else builder.mpd()
-        if cipher is not None:
-            mpd_text = cipher.encrypt(mpd_text)
-        self._register(builder.mpd_url, _TextResource(mpd_text))
-        for track in asset.video_tracks + asset.audio_tracks:
-            if addressing is SegmentAddressing.TEMPLATE:
-                for segment in track.segments:
-                    self._register(
-                        builder.template_segment_url(track, segment.index),
-                        _OpaqueResource(segment.size_bytes),
-                    )
-                continue
-            self._register(
-                builder.media_url(track),
-                _MediaFileResource(
-                    total_size=builder.media_file_size(track),
-                    header=builder.sidx(track).encode(),
-                ),
+        if mpd_override is None:
+            table = _HOSTED.get(
+                asset,
+                (Protocol.DASH, base_url, addressing, cipher),
+                lambda: _dash_table(builder, builder.mpd(), cipher),
             )
+        else:
+            table = _dash_table(builder, mpd_override, cipher)
+        self._mount(table)
         return DashHosting(
             asset=asset,
             manifest_url=builder.mpd_url,
@@ -169,13 +264,9 @@ class OriginServer:
 
     def host_smooth(self, asset: MediaAsset, base_url: str) -> SmoothHosting:
         builder = SmoothBuilder(base_url=base_url, asset=asset)
-        self._register(builder.manifest_url, _TextResource(builder.manifest()))
-        for track in asset.video_tracks + asset.audio_tracks:
-            for segment in track.segments:
-                self._register(
-                    builder.fragment_url(track, segment.index),
-                    _OpaqueResource(segment.size_bytes),
-                )
+        self._mount(_HOSTED.get(
+            asset, (Protocol.SMOOTH, base_url), lambda: _smooth_table(builder)
+        ))
         return SmoothHosting(
             asset=asset, manifest_url=builder.manifest_url, builder=builder
         )
@@ -186,10 +277,13 @@ class OriginServer:
             raise KeyError(f"no resource at {url}")
         self._resources[url] = _TextResource(text)
 
-    def _register(self, url: str, resource) -> None:
-        if url in self._resources:
+    def _mount(self, table: dict[str, object]) -> None:
+        """Copy a hosted table into this server's own resources, so
+        :meth:`replace_text_resource` stays local to this server."""
+        if not self._resources.keys().isdisjoint(table):
+            url = next(url for url in table if url in self._resources)
             raise ValueError(f"duplicate resource URL: {url}")
-        self._resources[url] = resource
+        self._resources.update(table)
 
     # -- serving ------------------------------------------------------------
 

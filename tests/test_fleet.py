@@ -215,6 +215,36 @@ class TestExecuteIntegration:
             "fleet.clients.by_state", state="ended"
         ) == 2
 
+    def test_metrics_carry_the_cell_loop_counters(self):
+        from repro.core.fleet import FleetSession
+
+        spec = dataclasses.replace(TestChurn.CHURN_SPEC, engine="event")
+        outcome = run_fleet(spec)
+        fleet = FleetSession(spec)
+        fleet.run()
+        cell = fleet.session
+        metrics = outcome.metrics
+        completion = cell.advance_stop_counts["completion"]
+        assert completion > 0
+        assert metrics.value(
+            "session.advance_stops", reason="completion"
+        ) == completion
+        assert metrics.value("session.dispatches") == (
+            outcome.tick_stats.ticks_executed
+        )
+        for kind, count in cell.dispatch_counts.items():
+            assert metrics.value("session.events", type=kind) == count
+        assert metrics.value("session.queue_pushes") == cell.queue.pushed_total
+        assert metrics.value("session.queue_depth_max") == cell.max_queue_depth
+        # The tick oracle keeps no loop counters.
+        tick = run_fleet(TestChurn.CHURN_SPEC)
+        assert tick.metrics.value("session.dispatches") is None
+        # Two leases over the same two catalogues, so they fan out.
+        specs = [self.SPEC, dataclasses.replace(self.SPEC, duration_s=30.0)]
+        serial = execute(specs, workers=0)
+        assert serial[0].metrics.value("session.dispatches") > 0
+        assert execute(specs, workers=2) == serial
+
 
 class TestDeviceClasses:
     def test_known_classes(self):

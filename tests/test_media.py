@@ -237,6 +237,83 @@ class TestEncoder:
                               DeclaredBitratePolicy.PEAK)
         assert [t.level for t in tracks] == [0, 1]
 
+    @pytest.mark.parametrize("duration_s", [30.0, 97.5, 600.0])
+    @pytest.mark.parametrize("content_seed", [11, 12, 1011])
+    def test_ladder_equals_per_rung_reference(self, monkeypatch, duration_s,
+                                              content_seed):
+        """Means computed once per ladder give the per-rung encoder's
+        assets, byte for byte, for every service."""
+        import repro.services.profiles as profiles
+
+        for spec in profiles.SERVICES.values():
+            asset = spec.encode_asset(duration_s, content_seed,
+                                      use_cache=False)
+            with monkeypatch.context() as patch:
+                patch.setattr(profiles, "Encoder", _PerRungEncoder)
+                reference = spec.encode_asset(duration_s, content_seed,
+                                              use_cache=False)
+            assert asset == reference, spec.name
+
+
+class _PerRungEncoder(Encoder):
+    """The encoder before its means were shared, verbatim: each rung
+    computed every segment's complexity mean, twice under VBR/PEAK."""
+
+    def encode_ladder(self, content, ladder):
+        declared = [rung.declared_bitrate_bps for rung in ladder]
+        if declared != sorted(declared):
+            raise ValueError("ladder rungs must have ascending declared bitrates")
+        tracks = [
+            self._encode_video_track(content, rung, level)
+            for level, rung in enumerate(ladder)
+        ]
+        return tuple(tracks)
+
+    def _encode_video_track(self, content, rung, level):
+        grid = segment_grid(content.duration_s, self.settings.segment_duration_s)
+        target_avg = self._target_average_bitrate(content, rung, grid)
+        rng = self._rng.child(f"video/{level}/{content.content_id}")
+        segments = []
+        for index, (start, duration) in enumerate(grid):
+            if self.settings.mode is EncodingMode.CBR:
+                factor = rng.truncated_gauss(
+                    1.0,
+                    self.settings.cbr_jitter,
+                    1.0 - 2 * self.settings.cbr_jitter,
+                    1.0 + 2 * self.settings.cbr_jitter,
+                )
+            else:
+                noise = rng.truncated_gauss(
+                    1.0,
+                    self.settings.vbr_noise,
+                    1.0 - 2 * self.settings.vbr_noise,
+                    1.0 + 2 * self.settings.vbr_noise,
+                )
+                factor = content.complexity.mean_over(start, duration) * noise
+            size = max(1, int(round(target_avg * duration / 8.0 * factor)))
+            segments.append(
+                Segment(index=index, start_s=start, duration_s=duration, size_bytes=size)
+            )
+        return Track(
+            track_id=f"{content.content_id}/video/{level}",
+            stream_type=StreamType.VIDEO,
+            level=level,
+            declared_bitrate_bps=rung.declared_bitrate_bps,
+            height=rung.height,
+            segments=tuple(segments),
+        )
+
+    def _target_average_bitrate(self, content, rung, grid):
+        if (
+            self.settings.mode is EncodingMode.CBR
+            or self.settings.declared_policy is DeclaredBitratePolicy.AVERAGE
+        ):
+            return rung.declared_bitrate_bps
+        peak_factor = max(
+            content.complexity.mean_over(start, duration) for start, duration in grid
+        )
+        return rung.declared_bitrate_bps / max(peak_factor, 1.0)
+
 
 class TestMediaAsset:
     def test_requires_video(self):

@@ -1,5 +1,7 @@
 """ABR algorithm unit tests (section 3.3.3/3.3.4, section 4.2)."""
 
+import dataclasses
+
 import pytest
 
 from repro.manifest.types import ClientSegmentInfo, ClientTrackInfo
@@ -128,10 +130,12 @@ class TestUnstable:
         """Alternating segment sizes around the budget flip the choice."""
         tracks = make_tracks((500, 1000), actual_ratio=0.5)
         # Make track 1's segments alternate between cheap and expensive.
-        for i, segment in enumerate(tracks[1].segments):
-            segment.size_bytes = int(
+        tracks[1].segments = [
+            dataclasses.replace(segment, size_bytes=int(
                 kbps(1000) * (0.3 if i % 2 == 0 else 0.9) * 4 / 8
-            )
+            ))
+            for i, segment in enumerate(tracks[1].segments)
+        ]
         abr = UnstableAbr(safety_factor=1.0)
         level_even = abr.select_level(ctx(tracks, 500, next_index=0))
         level_odd = abr.select_level(ctx(tracks, 500, next_index=1))
