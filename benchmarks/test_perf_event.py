@@ -157,7 +157,7 @@ def test_perf_event_engine(benchmark, show):
         queue_cancelled = 0
         queue_depth_max = 0
         for session in event_sessions:
-            dispatches += session.events_dispatched
+            dispatches += session.ticks_executed
             queue_pushes += session.queue.pushed_total
             queue_cancelled += session.queue.cancelled_total
             queue_depth_max = max(queue_depth_max, session.max_queue_depth)

@@ -2,11 +2,12 @@
 
 Times ``run_fleet`` at N in {50, 200, 1000} clients on one cell and
 writes ``benchmarks/BENCH_fleet.json`` as a regression baseline.  The
-quantity of interest is *per-client wall cost*: the vectorized
-water-fill keeps each shared-link tick O(N) (one NumPy pass) instead
-of O(N^2) (N scalar allocations re-walked per flow event), so cost per
-client must stay roughly flat — asserted as "no worse than linear in N
-with generous slack".
+quantity of interest is *per-client wall cost*: a dispatched tick runs
+a full player tick only for the clients it touches (DESIGN.md §4l),
+and the link plans each tick with one water-fill over the busy flows
+(a few passes over a list, DESIGN.md §4p), so cost per client must
+stay roughly flat — asserted as "no worse than linear in N with
+generous slack".
 
 Also gates the tentpole's headline claim directly: a 1000-client fleet
 completes in one process.

@@ -42,13 +42,12 @@ class EventType(enum.Enum):
 class Event:
     """One queue entry.  Identity-compared; ``cancel`` is lazy."""
 
-    __slots__ = ("time", "type", "payload", "priority", "seq", "cancelled")
+    __slots__ = ("time", "type", "payload", "seq", "cancelled")
 
-    def __init__(self, time, type, payload=None, priority=0, seq=0):
+    def __init__(self, time, type, payload=None, seq=0):
         self.time = time
         self.type = type
         self.payload = payload
-        self.priority = priority
         self.seq = seq
         self.cancelled = False
 
@@ -60,11 +59,11 @@ class Event:
 class EventQueue:
     """A deterministic min-heap of typed events.
 
-    Ordering is total and stable: ``(time, priority, seq)``, where
-    ``seq`` is the registration order — two events at the same instant
-    always pop in the order they were pushed, on every platform and
-    every run.  Cancellation is lazy (the heap entry is tombstoned and
-    skimmed on the next peek/pop), so ``cancel`` is O(1) and a
+    Ordering is total and stable: ``(time, seq)``, where ``seq`` is
+    the registration order — two events at the same instant always pop
+    in the order they were pushed, on every platform and every run.
+    Cancellation is lazy (the heap entry is tombstoned and skimmed on
+    the next peek/pop), so ``cancel`` is O(1) and a
     cancel + re-register cycle never loses or duplicates live events.
     Tombstones cannot pile up: when dead entries outnumber live ones
     (beyond a small floor) the heap is compacted in one pass, so the
@@ -74,7 +73,7 @@ class EventQueue:
     _COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._live = 0
         self.pushed_total = 0
@@ -85,14 +84,10 @@ class EventQueue:
         return self._live
 
     def push(
-        self,
-        time: float,
-        type: EventType,
-        payload: object = None,
-        priority: int = 0,
+        self, time: float, type: EventType, payload: object = None
     ) -> Event:
-        event = Event(time, type, payload, priority, next(self._seq))
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        event = Event(time, type, payload, next(self._seq))
+        heapq.heappush(self._heap, (time, event.seq, event))
         self._live += 1
         self.pushed_total += 1
         return event
@@ -117,17 +112,17 @@ class EventQueue:
         The entries are total-ordered tuples, so heapify reproduces the
         exact pop order the skimmed heap would have produced.
         """
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
 
     def _skim(self) -> None:
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
 
     def peek(self) -> Event | None:
         self._skim()
-        return self._heap[0][3] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def next_time(self) -> float:
         head = self.peek()
@@ -137,7 +132,7 @@ class EventQueue:
         self._skim()
         if not self._heap:
             return None
-        event = heapq.heappop(self._heap)[3]
+        event = heapq.heappop(self._heap)[2]
         # Popping consumes the live entry; mark it so a later cancel()
         # of a stale handle cannot corrupt the live count.
         event.cancelled = True

@@ -454,7 +454,6 @@ class EventDrivenMultiSession(MultiSession):
         super().__init__(*args, **kwargs)
         count = len(self.players)
         self.queue = EventQueue()
-        self.events_dispatched = 0
         self.dispatch_counts: dict[str, int] = {}
         self.advance_stop_counts: dict[str, int] = {}
         self.max_queue_depth = 0
@@ -475,7 +474,7 @@ class EventDrivenMultiSession(MultiSession):
         determined by the faults, the churn and the deterministic
         producers.
         """
-        metrics.counter("session.dispatches").inc(self.events_dispatched)
+        metrics.counter("session.dispatches").inc(self.ticks_executed)
         for kind in sorted(self.dispatch_counts):
             metrics.counter("session.events", type=kind).inc(
                 self.dispatch_counts[kind]
@@ -611,7 +610,6 @@ class EventDrivenMultiSession(MultiSession):
             touched.append(index)
         self.clock.tick()
         self.ticks_executed += 1
-        self.events_dispatched += 1
         after = [_signature(players[index]) for index in touched]
         kind = (
             "fault_change" if everyone
@@ -698,11 +696,11 @@ class EventDrivenMultiSession(MultiSession):
         The margin contracts return provable no-op tick counts from
         *now*; as an absolute instant the deadline stays valid across
         batch rounds, because mode and margin premises only change at a
-        dispatched tick.  A busy scheduler with parts on the wire vets
-        via ``transfer_noop_ticks`` (a completion ends the window on a
-        dispatched tick), otherwise the playing/stalled contracts apply.  A
-        busy scheduler without live wire parts has no contract and
-        wakes next tick.
+        dispatched tick.  A busy scheduler vets via
+        ``transfer_noop_ticks``: between dispatches each of its jobs has
+        a part on the wire (``Scheduler``), and a completion ends the
+        window on a dispatched tick.  Otherwise the playing/stalled
+        contracts apply.
         """
         clock = self.clock
         now = clock.now
@@ -710,12 +708,8 @@ class EventDrivenMultiSession(MultiSession):
         remaining = int((self._limit - now) / dt) + 1
         if remaining < 1:
             remaining = 1
-        jobs = player.scheduler.jobs()
-        if jobs:
-            if any(job.live_transfers() for job in jobs):
-                ticks = player.transfer_noop_ticks(dt, remaining)
-            else:
-                ticks = 0
+        if player.scheduler.busy:
+            ticks = player.transfer_noop_ticks(dt, remaining)
         elif player.state is PlayerState.PLAYING:
             ticks = player.idle_noop_ticks(dt, remaining)
         else:
@@ -776,14 +770,12 @@ class EventDrivenMultiSession(MultiSession):
             if completed:
                 return self._dispatch_tick(dt, carried, completed)
             return False
-        if any(player.scheduler.busy for player in players):
-            # Jobs in flight with no live transfer anywhere: no
-            # contract covers this edge, so the tick runs serially.
-            return self._dispatch_tick(dt)
-        # With no transfer on the link the network moves no bytes and
-        # connection control is a no-op (the idle-jump argument,
-        # DESIGN.md §4a): players replay playhead and UI only, the
-        # radio observes idle ticks, network.advance is skipped.
+        # With no transfer on the link, no active client has a job in
+        # flight (the scheduler's invariant, DESIGN.md §4q), the
+        # network moves no bytes and connection control is a no-op (the
+        # idle-jump argument, DESIGN.md §4a): players replay playhead
+        # and UI only, the radio observes idle ticks, network.advance
+        # is skipped.
         for player in players:
             player.apply_noop_ticks(ticks, dt)
         if rrc is not None:

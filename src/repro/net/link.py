@@ -12,20 +12,6 @@ from __future__ import annotations
 from repro.net.tcp import TcpConnection, TcpConnectionState
 from repro.util import check_non_negative, check_positive
 
-try:  # optional: the fleet layer's vectorized allocator
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
-
-#: Flow count at which :func:`allocate` switches from the scalar
-#: water-fill to the NumPy one.  Timed per call inside running fleets
-#: (DESIGN.md §4p), a NumPy call costs 20-40 us before it does any
-#: work, against a scalar cost that grows about 0.2 us a flow, so the
-#: list path is faster below a few hundred flows; above them the
-#: vectorized round masks win.  Both produce float-for-float identical
-#: allocations, so the threshold is a pure performance constant.
-VECTORIZE_MIN_FLOWS = 256
-
 
 def water_fill(capacity: float, demands: list[float]) -> list[float]:
     """Max-min fair allocation of ``capacity`` to ``demands``.
@@ -72,64 +58,13 @@ def _fill(capacity: float, demands: list[float]) -> list[float]:
     return allocations
 
 
-def water_fill_vec(capacity: float, demands) -> list[float]:
-    """NumPy :func:`water_fill`, float-for-float equal to the scalar.
-
-    The scalar algorithm only ever *accumulates* an allocation in the
-    terminal round (``allocations[i] += share`` over a starting value
-    of ``0.0``); in every earlier round a satisfied flow jumps straight
-    to its demand and the only order-sensitive float operation is the
-    sequential ``remaining -= demands[i]`` over newly satisfied flows
-    in index order.  This version therefore vectorizes the per-round
-    comparison mask and replays exactly that subtraction sequence in a
-    tiny Python loop (O(N) work across all rounds), which is what makes
-    it bit-identical — the property ``tests/test_link_property.py``
-    pins with hypothesis.  Returns plain Python floats so NumPy
-    scalars never leak into transfers, records or JSON.
-    """
-    if _np is None:  # pragma: no cover - numpy is baked into the image
-        raise RuntimeError("water_fill_vec requires numpy")
-    check_non_negative("capacity", capacity)
-    arr = _np.asarray(demands, dtype=_np.float64)
-    if arr.size and float(arr.min()) < 0:
-        check_non_negative("demand", float(arr.min()))
-    allocations = _np.zeros(arr.shape[0], dtype=_np.float64)
-    active = arr > 0
-    count = int(active.sum())
-    remaining = capacity
-    if count == 1 and remaining > 1e-12:
-        i = int(_np.flatnonzero(active)[0])
-        demand = float(arr[i])
-        allocations[i] = demand if demand <= remaining + 1e-12 else remaining
-        return allocations.tolist()
-    while count and remaining > 1e-12:
-        share = remaining / count
-        newly = active & (arr <= share + 1e-12)
-        indices = _np.flatnonzero(newly)
-        if indices.size:
-            for i in indices:
-                remaining -= float(arr[i])
-            allocations[indices] = arr[indices]
-            active &= ~newly
-            count -= int(indices.size)
-        else:
-            allocations[active] = share
-            remaining = 0.0
-    return allocations.tolist()
-
-
 def allocate(capacity: float, demands: list[float]) -> list[float]:
-    """Water-fill through whichever implementation fits the flow count.
+    """:func:`water_fill` for the link kernel, its one caller.
 
-    The scalar loop stays the oracle; the vectorized path is pinned
-    bit-identical to it, so callers may treat this as :func:`water_fill`
-    that happens to be fast for fleet-scale connection counts.  Only
-    the capacity is checked on the scalar path: the link kernel, its
-    one caller, computes every demand itself, from non-negative
-    windows and rates (``cwnd * 8 / rtt`` and ``rate_cap_bps``).
+    Only the capacity is checked: the kernel computes every demand
+    itself, from non-negative windows and rates (``cwnd * 8 / rtt`` and
+    ``rate_cap_bps``).
     """
-    if _np is not None and len(demands) >= VECTORIZE_MIN_FLOWS:
-        return water_fill_vec(capacity, demands)
     check_non_negative("capacity", capacity)
     return _fill(capacity, demands)
 

@@ -133,7 +133,6 @@ class Network:
         transfer = Transfer(
             total_bytes=plan.size_bytes + self.header_overhead_bytes,
             on_complete=finish,
-            context=request,
         )
         extra_latency = (
             self.faults.extra_latency_at(now) if self.faults is not None else 0.0

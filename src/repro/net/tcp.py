@@ -20,8 +20,7 @@ as with ``tc`` in the paper's testbed.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.util import check_non_negative, check_positive
@@ -31,17 +30,17 @@ INITIAL_CWND_BYTES = 10 * MSS_BYTES  # RFC 6928 initial window
 DEFAULT_MAX_CWND_BYTES = 4 * 1024 * 1024
 DEFAULT_IDLE_RESTART_S = 1.0
 
-_transfer_ids = itertools.count(1)
 
-
-@dataclass
+@dataclass(eq=False)
 class Transfer:
-    """One HTTP response body moving over a connection."""
+    """One HTTP response body moving over a connection.
+
+    Compared by identity: two transfers of equal fields are still two
+    bodies on the wire.
+    """
 
     total_bytes: int
     on_complete: Optional[Callable[["Transfer"], None]] = None
-    context: object = None
-    transfer_id: int = field(default_factory=lambda: next(_transfer_ids))
     delivered_bytes: float = 0.0
     started_at: float | None = None
     first_byte_at: float | None = None

@@ -566,8 +566,6 @@ class Player:
             return self._ticks_within(margins, dt, max_ticks)
         if self.manifest is None:
             return 0
-        if not getattr(self.scheduler, "slots_static_while_busy", False):
-            return 0
         if self._pending_skip_jump():
             return 0  # the playhead jump must run serially this tick
         pos = self._play_pos

@@ -64,8 +64,11 @@ class JobResult:
         return max(self.completed_at - start, 1e-9)
 
 
-@dataclass
+@dataclass(eq=False)
 class FetchJob:
+    """One download, carried as one or more parts.  Compared by
+    identity: two jobs of equal fields are still two jobs in flight."""
+
     kind: JobKind
     stream_type: StreamType
     url: str
@@ -86,32 +89,23 @@ class FetchJob:
         suffix = f"#{self.index}@L{self.level}" if self.index is not None else ""
         return f"{self.kind.value}:{self.stream_type.value}{suffix}"
 
-    def live_transfers(self) -> list:
-        """(connection, transfer) pairs of this job still on the wire.
-
-        The shared-link event engine reads these to tell a player with
-        a download on the wire from one whose jobs have none; a part
-        whose connection has moved on (completed, aborted, reused) is
-        excluded.
-        """
-        return [
-            (connection, transfer)
-            for connection, transfer in self._transfers
-            if connection.transfer is transfer
-        ]
-
 
 class Scheduler:
-    """Base class: connection bookkeeping and job completion plumbing."""
+    """Base class: connection bookkeeping and job completion plumbing.
 
-    # Batching contract (see ``Player.transfer_noop_ticks``): a
-    # scheduler with this flag promises that ``slots_for`` can only
-    # change when a job is submitted or a transfer completes — never
-    # from the mere passage of time.  All built-in schedulers qualify
-    # (slots derive from in-flight counts and free connections); a
-    # custom scheduler that frees capacity on a timer must override
-    # this with False, which disables download-phase tick batching.
-    slots_static_while_busy = True
+    A job is in flight from ``_register``, just before its first part
+    goes on the wire, until its last part's callback runs
+    ``_complete``; a part leaves the wire only by completing or being
+    aborted, and either fires its callback in the same network step.
+    So between network steps every job in flight has a part on the
+    wire, which the event loop relies on (DESIGN.md §4q).
+
+    Every subclass owes the batching contract behind
+    ``Player.transfer_noop_ticks``: ``slots_for`` changes only when a
+    job is submitted or a part completes, never from the mere passage
+    of time.  The built-in schedulers derive their slots from in-flight
+    counts and free connections, so they hold it.
+    """
 
     # Observability: the player installs its tracer here so completed
     # jobs emit download spans.  Class-level default keeps construction
@@ -155,12 +149,6 @@ class Scheduler:
 
     def inflight_jobs(self, stream_type: StreamType) -> list[FetchJob]:
         return list(self._inflight[stream_type])
-
-    def jobs(self) -> list[FetchJob]:
-        """Every in-flight job, both streams, in submission order."""
-        return (
-            self._inflight[StreamType.VIDEO] + self._inflight[StreamType.AUDIO]
-        )
 
     @property
     def busy(self) -> bool:

@@ -1,8 +1,8 @@
 """Event-queue ordering invariants (property-based).
 
 The engine's determinism rests on the queue being totally ordered and
-loss-free: ties at equal timestamps must break by (priority, push
-order) on every platform, and a cancel + re-register cycle must never
+loss-free: ties at equal timestamps must break by push order on
+every platform, and a cancel + re-register cycle must never
 lose a live event or resurrect a dead one.  Hypothesis drives seeded
 churn against a plain-dict model of the queue.
 """
@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.events import Event, EventQueue, EventType
 
-# Small time/priority domains force plenty of exact ties.
+# A small time domain forces plenty of exact ties.
 times = st.sampled_from([0.0, 0.1, 0.1, 0.5, 1.0, 2.5])
-priorities = st.integers(min_value=-2, max_value=2)
 event_types = st.sampled_from(list(EventType))
 
 
@@ -31,36 +30,36 @@ def drain(queue: EventQueue) -> list[Event]:
         out.append(event)
 
 
-@given(st.lists(st.tuples(times, priorities, event_types), max_size=50))
-def test_pop_order_is_time_priority_then_push_order(entries):
+@given(st.lists(st.tuples(times, event_types), max_size=50))
+def test_pop_order_is_time_then_push_order(entries):
     queue = EventQueue()
-    pushed = [queue.push(t, typ, priority=p) for t, p, typ in entries]
+    pushed = [queue.push(t, typ) for t, typ in entries]
     popped = drain(queue)
     assert len(popped) == len(pushed)
     # Sorting the pushed handles by the documented key is exactly the
     # pop order — seq (push order) is the final tie-break, so the sort
     # is total and the expectation unique.
-    expected = sorted(pushed, key=lambda e: (e.time, e.priority, e.seq))
+    expected = sorted(pushed, key=lambda e: (e.time, e.seq))
     assert popped == expected
 
 
-@given(st.lists(st.tuples(times, priorities, event_types), max_size=50))
+@given(st.lists(st.tuples(times, event_types), max_size=50))
 def test_equal_keys_pop_in_push_order(entries):
     queue = EventQueue()
-    pushed = [queue.push(t, typ, priority=p) for t, p, typ in entries]
+    pushed = [queue.push(t, typ) for t, typ in entries]
     popped = drain(queue)
-    for key in {(e.time, e.priority) for e in pushed}:
-        group = [e for e in popped if (e.time, e.priority) == key]
+    for key in {e.time for e in pushed}:
+        group = [e for e in popped if e.time == key]
         assert [e.seq for e in group] == sorted(e.seq for e in group)
 
 
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("push"), times, priorities),
-            st.tuples(st.just("cancel"), st.integers(0, 200), st.just(0)),
-            st.tuples(st.just("pop"), st.just(0.0), st.just(0)),
-            st.tuples(st.just("pop_due"), times, st.just(0)),
+            st.tuples(st.just("push"), times),
+            st.tuples(st.just("cancel"), st.integers(0, 200)),
+            st.tuples(st.just("pop"), st.just(0.0)),
+            st.tuples(st.just("pop_due"), times),
         ),
         max_size=120,
     )
@@ -72,9 +71,9 @@ def test_churn_never_loses_or_duplicates_events(ops):
     live: dict[int, Event] = {}  # seq -> handle, the model
     handles: list[Event] = []  # every handle ever, for cancel targets
     popped_seqs: list[int] = []
-    for op, a, b in ops:
+    for op, a in ops:
         if op == "push":
-            event = queue.push(a, EventType.PLAYER_WAKE, priority=b)
+            event = queue.push(a, EventType.PLAYER_WAKE)
             live[event.seq] = event
             handles.append(event)
         elif op == "cancel" and handles:
@@ -87,7 +86,7 @@ def test_churn_never_loses_or_duplicates_events(ops):
                 assert not live
             else:
                 expected = min(
-                    live.values(), key=lambda e: (e.time, e.priority, e.seq)
+                    live.values(), key=lambda e: (e.time, e.seq)
                 )
                 assert event is expected
                 del live[event.seq]
@@ -96,7 +95,7 @@ def test_churn_never_loses_or_duplicates_events(ops):
             due = queue.pop_due(a)
             expected = sorted(
                 (e for e in live.values() if e.time <= a),
-                key=lambda e: (e.time, e.priority, e.seq),
+                key=lambda e: (e.time, e.seq),
             )
             assert due == expected
             for event in due:
@@ -105,7 +104,7 @@ def test_churn_never_loses_or_duplicates_events(ops):
         assert len(queue) == len(live)
     assert len(popped_seqs) == len(set(popped_seqs))  # no duplicates
     assert drain(queue) == sorted(
-        live.values(), key=lambda e: (e.time, e.priority, e.seq)
+        live.values(), key=lambda e: (e.time, e.seq)
     )
 
 
@@ -164,7 +163,7 @@ def test_cancelled_total_counts_explicit_cancels_only():
 
 
 @given(
-    st.lists(st.tuples(times, priorities), min_size=2, max_size=30),
+    st.lists(times, min_size=2, max_size=30),
     st.data(),
 )
 @settings(max_examples=200)
@@ -174,38 +173,33 @@ def test_producer_repush_never_reorders_other_events(entries, data):
     This is the engine's re-arm move: a producer whose state changed
     cancels its own handle and registers a new deadline.  Every other
     event must keep its exact relative order, and the re-pushed event
-    must sort behind existing events at the same (time, priority) —
+    must sort behind existing events at the same time —
     later registration means later dispatch, deterministically.
     """
     queue = EventQueue()
-    pushed = [queue.push(t, EventType.PLAYER_WAKE, priority=p)
-              for t, p in entries]
+    pushed = [queue.push(t, EventType.PLAYER_WAKE) for t in entries]
     victim = data.draw(st.sampled_from(pushed))
     new_time = data.draw(times)
-    new_priority = data.draw(priorities)
     queue.cancel(victim)
-    replacement = queue.push(
-        new_time, EventType.PLAYER_WAKE, priority=new_priority
-    )
+    replacement = queue.push(new_time, EventType.PLAYER_WAKE)
     popped = drain(queue)
     others = [event for event in popped if event is not replacement]
     assert others == sorted(
         (e for e in pushed if e is not victim),
-        key=lambda e: (e.time, e.priority, e.seq),
+        key=lambda e: (e.time, e.seq),
     )
-    # The replacement drew the highest seq, so within its equal-key
-    # group it pops last.
-    group = [e for e in popped
-             if (e.time, e.priority) == (new_time, new_priority)]
+    # The replacement drew the highest seq, so among the events at its
+    # time it pops last.
+    group = [e for e in popped if e.time == new_time]
     assert group[-1] is replacement
 
 
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("push"), times, priorities),
-            st.tuples(st.just("cancel"), st.integers(0, 400), st.just(0)),
-            st.tuples(st.just("pop"), st.just(0.0), st.just(0)),
+            st.tuples(st.just("push"), times),
+            st.tuples(st.just("cancel"), st.integers(0, 400)),
+            st.tuples(st.just("pop"), st.just(0.0)),
         ),
         max_size=300,
     )
@@ -222,9 +216,9 @@ def test_compaction_bounds_heap_size_and_preserves_order(ops):
     queue = EventQueue()
     live: dict[int, Event] = {}
     handles: list[Event] = []
-    for op, a, b in ops:
+    for op, a in ops:
         if op == "push":
-            event = queue.push(a, EventType.PLAYER_WAKE, priority=b)
+            event = queue.push(a, EventType.PLAYER_WAKE)
             live[event.seq] = event
             handles.append(event)
         elif op == "cancel" and handles:
@@ -238,5 +232,5 @@ def test_compaction_bounds_heap_size_and_preserves_order(ops):
         assert len(queue) == len(live)
         assert len(queue._heap) <= max(64, 2 * len(live))
     assert drain(queue) == sorted(
-        live.values(), key=lambda e: (e.time, e.priority, e.seq)
+        live.values(), key=lambda e: (e.time, e.seq)
     )

@@ -159,7 +159,6 @@ def test_event_multi_executes_fewer_ticks():
     )
     # ...but the event loop dispatches only event instants.
     assert event_session.ticks_executed < tick_session.ticks_executed
-    assert event_session.events_dispatched == event_session.ticks_executed
     assert event_session.queue.pushed_total > 0
     assert event_session.max_queue_depth >= len(event_session.players)
 
@@ -169,7 +168,7 @@ def test_cell_labels_its_dispatches():
     _, event_session = _build_sessions(["H1", "D1"], SCHEDULES["step_down"])
     event_session.run(DURATION_S)
     counts = event_session.dispatch_counts
-    assert sum(counts.values()) == event_session.events_dispatched
+    assert sum(counts.values()) == event_session.ticks_executed
     assert counts.get("transfer_complete", 0) > 0
     assert event_session.advance_stop_counts
 
@@ -184,7 +183,7 @@ def test_wake_dirty_check_skips_untouched_players():
     _, event_session = _build_sessions(["H1", "D1", "D3"], SCHEDULES["constant"])
     event_session.run(DURATION_S)
     pushes = event_session.queue.pushed_total
-    dispatches = event_session.events_dispatched
+    dispatches = event_session.ticks_executed
     players = len(event_session.players)
     assert pushes < dispatches * players
 

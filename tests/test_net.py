@@ -1,6 +1,5 @@
 """Unit tests for the network substrate: schedules, TCP, link, HTTP."""
 
-import contextlib
 import math
 from types import SimpleNamespace
 
@@ -196,6 +195,26 @@ def _water_fill_reference(capacity, demands):
     return allocations
 
 
+fill_rates = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e-11),   # below the epsilon
+    st.floats(min_value=1e-12, max_value=10.0),  # tolerance band
+    st.floats(min_value=0.0, max_value=5e7),     # realistic byte rates
+    st.floats(min_value=0.0, max_value=1e10),
+    st.sampled_from([1e-13, 1e-12, 1168000.0, 2.5e7]),
+)
+
+# Up to 64 flows, or a fleet-sized count: a drawn pattern repeated,
+# which keeps long lists cheap to draw and makes many flows leave the
+# same round together.
+fill_lists = st.one_of(
+    st.lists(fill_rates, max_size=64),
+    st.builds(lambda pattern, n: (pattern * n)[:n],
+              st.lists(fill_rates, min_size=1, max_size=16),
+              st.integers(252, 260)),
+)
+
+
 class TestWaterFillEquivalence:
     def test_hand_picked_cases(self):
         cases = [
@@ -213,23 +232,20 @@ class TestWaterFillEquivalence:
                 capacity, demands
             ), (capacity, demands)
 
-    def test_property_equal_to_reference(self):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        rates = st.one_of(
-            st.floats(min_value=0.0, max_value=1e10, allow_nan=False),
-            st.sampled_from([0.0, 1e-13, 1e-12, 1168000.0, 2.5e7]),
+    @settings(max_examples=800, deadline=None)
+    @given(demands=fill_lists, data=st.data())
+    def test_property_equal_to_reference(self, demands, data):
+        capacity = data.draw(st.one_of(
+            fill_rates,
+            st.just(1e-12),
+            st.floats(min_value=0.0, max_value=1e8),
+            # The exhaustion branch: capacity near the demands' sum.
+            st.just(sum(demands)),
+            st.just(sum(demands) * 0.5),
+        ))
+        assert water_fill(capacity, demands) == _water_fill_reference(
+            capacity, demands
         )
-
-        @settings(max_examples=300, deadline=None)
-        @given(capacity=rates, demands=st.lists(rates, max_size=8))
-        def check(capacity, demands):
-            assert water_fill(capacity, demands) == _water_fill_reference(
-                capacity, demands
-            )
-
-        check()
 
 
 class TestTcpConnection:
@@ -1437,18 +1453,6 @@ COMPLETING_POSITIONS = ("first", "middle", "last")
 CELL_RATES = (mbps(0.5), mbps(2), mbps(6), mbps(30), mbps(150))
 
 
-@contextlib.contextmanager
-def _allocator(name):
-    """Route every ``allocate`` call to the scalar or the NumPy
-    water-fill, whatever the flow count."""
-    saved = link_module.VECTORIZE_MIN_FLOWS
-    link_module.VECTORIZE_MIN_FLOWS = 0 if name == "numpy" else math.inf
-    try:
-        yield
-    finally:
-        link_module.VECTORIZE_MIN_FLOWS = saved
-
-
 @st.composite
 def cell_cases(draw):
     """A shared cell of 2-64 busy connections beside up to 60 idle ones.
@@ -1487,8 +1491,6 @@ def cell_cases(draw):
                       label="position"),
         completes_at=draw(st.one_of(st.integers(0, 2), st.integers(3, 40)),
                           label="completes_at"),
-        allocator=draw(st.sampled_from(["scalar", "numpy"]),
-                       label="allocator"),
     )
 
 
@@ -1536,11 +1538,11 @@ def _total_completing_at(case):
 class TestMultiFlowKernel:
     """Cells of 2-64 busy connections run the multi-flow kernel: the
     serial tick and every batched window with two or more busy
-    connections.  On either allocator, each serial tick equals the
-    verbatim busy-only walk, and each ``advance_many`` call equals the
-    walk that stopped at every change point, chained as the engines
-    drove it, through the completing tick: completions and every
-    connection, transfer and link total, bit for bit."""
+    connections.  Each serial tick equals the verbatim busy-only walk,
+    and each ``advance_many`` call equals the walk that stopped at every
+    change point, chained as the engines drove it, through the
+    completing tick: completions and every connection, transfer and link
+    total, bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=cell_cases())
@@ -1549,23 +1551,22 @@ class TestMultiFlowKernel:
         twins = [_cell_network(case, total) for _ in range(2)]
         (clock_a, net_a), (clock_b, net_b) = twins
         assert _network_state(net_a) == _network_state(net_b)
-        with _allocator(case.allocator):
-            for _ in range(case.window):
-                completed = []
-                for clock, network, walk in (
-                    (clock_a, net_a, _link_advance_busy),
-                    (clock_b, net_b, BottleneckLink.advance),
-                ):
-                    now = clock.now
-                    dead = network.faults is not None and (
-                        network.faults.dead_air_at(now))
-                    network.link.set_capacity(
-                        0.0 if dead else network.schedule.bandwidth_at(now))
-                    done = walk(network.link, network.connections, 0.1, now)
-                    completed.append([_transfer_state(t) for t in done])
-                    clock.tick()
-                assert completed[0] == completed[1]
-                assert _network_state(net_a) == _network_state(net_b)
+        for _ in range(case.window):
+            completed = []
+            for clock, network, walk in (
+                (clock_a, net_a, _link_advance_busy),
+                (clock_b, net_b, BottleneckLink.advance),
+            ):
+                now = clock.now
+                dead = network.faults is not None and (
+                    network.faults.dead_air_at(now))
+                network.link.set_capacity(
+                    0.0 if dead else network.schedule.bandwidth_at(now))
+                done = walk(network.link, network.connections, 0.1, now)
+                completed.append([_transfer_state(t) for t in done])
+                clock.tick()
+            assert completed[0] == completed[1]
+            assert _network_state(net_a) == _network_state(net_b)
 
     @settings(max_examples=120, deadline=None)
     @given(case=cell_cases(),
@@ -1573,10 +1574,9 @@ class TestMultiFlowKernel:
     def test_one_call_equals_the_clamped_chain(self, case, chunks):
         total = _total_completing_at(case)
         twins = [_cell_network(case, total) for _ in range(2)]
-        with _allocator(case.allocator):
-            _assert_one_call_equals_the_chain(
-                _advance_many_clamped, twins[0], twins[1],
-                [case.window] + chunks)
+        _assert_one_call_equals_the_chain(
+            _advance_many_clamped, twins[0], twins[1],
+            [case.window] + chunks)
 
     @pytest.mark.parametrize("position", COMPLETING_POSITIONS)
     @pytest.mark.parametrize("completes_at", [0, 1, 7])
@@ -1601,28 +1601,27 @@ class TestMultiFlowKernel:
         assert all(c.transfer for c in network.connections
                    if c.busy and c is not flow)
 
-    def test_a_fleet_sized_cell_runs_the_numpy_allocator(self):
-        """With ``VECTORIZE_MIN_FLOWS`` busy connections and more, the
-        water-fill takes the NumPy path unpatched, and each call still
-        equals the clamped chain."""
-        pytest.importorskip("numpy")
-        kinds = (4, 4, 4, link_module.VECTORIZE_MIN_FLOWS, 0, 2, 2)
+    def test_a_fleet_sized_cell_equals_the_clamped_chain(self):
+        """A cell with 256 steady connections, plus pending ones and
+        dead air, water-fills at least 256 flows a tick, and each call
+        still equals the clamped chain."""
+        kinds = (4, 4, 4, 256, 0, 2, 2)
         twins = [_mixed_network(kinds, 300_000, True) for _ in range(2)]
         calls = []
-        original = link_module.water_fill_vec
+        original = link_module.allocate
 
         def counted(capacity, demands):
             calls.append(len(demands))
             return original(capacity, demands)
 
-        link_module.water_fill_vec = counted
+        link_module.allocate = counted
         try:
             _assert_one_call_equals_the_chain(
                 _advance_many_clamped, twins[0], twins[1], [12, 20])
         finally:
-            link_module.water_fill_vec = original
+            link_module.allocate = original
         assert calls
-        assert min(calls) >= link_module.VECTORIZE_MIN_FLOWS
+        assert min(calls) >= 256
 
 
 class TestHttpTypes:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.media.track import StreamType
 from repro.net.clock import Clock
-from repro.net.http import ResponsePlan
+from repro.net.http import HttpRequest, HttpResponse, HttpStatus, ResponsePlan
 from repro.net.network import Network
 from repro.net.schedule import ConstantSchedule
 from repro.player.scheduler import (
@@ -194,3 +194,32 @@ class TestSplit:
                              on_complete=lambda j, r: done.append(r)))
         busy = [c for c in network.connections if c.busy]
         assert len(busy) == 1
+
+
+class TestJobIdentity:
+    def test_completing_a_job_leaves_its_equal_twin_in_flight(self):
+        """Jobs are identities: completing the second of two
+        field-equal jobs in flight retires that one, not the first
+        equal one in the stream's list."""
+        clock, network = make_network()
+        scheduler = PartitionedParallelScheduler(network, 2, 1)
+        finished = []
+
+        def record(job, result):
+            finished.append(job)
+
+        response = HttpResponse(
+            request=HttpRequest(url="http://x/video/0"),
+            status=HttpStatus.OK, size_bytes=40_000,
+            connection_id="vid-1:1", started_at=0.0, first_byte_at=0.1,
+            completed_at=0.2,
+        )
+        first, second = job(on_complete=record), job(on_complete=record)
+        for twin in (first, second):
+            twin._responses.append(response)
+            scheduler._inflight[StreamType.VIDEO].append(twin)
+        assert vars(first) == vars(second)
+        scheduler._complete(second)
+        assert len(finished) == 1 and finished[0] is second
+        in_flight = scheduler.inflight_jobs(StreamType.VIDEO)
+        assert len(in_flight) == 1 and in_flight[0] is first

@@ -338,15 +338,14 @@ def test_plan_chunks_keeps_catalogues_together():
 def test_execute_records_worker_encode_gauges():
     specs = _grid()
     execute(specs, workers=2)
-    snapshot = process_registry().snapshot()
-    rows = [
-        (labels, value)
-        for name, labels, value in snapshot.gauges
-        if name == "pool.worker.asset_encodes"
-    ]
-    assert rows  # at least one worker reported
+    # The registry keeps the rows of workers reaped by earlier sweeps
+    # (process history), so read only this pool's workers.
+    encodes = _gauges(
+        "pool.worker.asset_encodes", _pids(active_worker_pool())
+    )
+    assert encodes  # at least one worker reported
     # Two catalogues in the grid: no worker encoded more than both.
-    assert all(value <= 2 for _, value in rows)
+    assert all(value <= 2 for value in encodes.values())
 
 
 def test_cold_pass_encodes_each_catalogue_once():

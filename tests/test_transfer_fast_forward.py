@@ -158,15 +158,6 @@ def test_transfer_noop_ticks_ended_is_unbounded():
     assert session.player.transfer_noop_ticks(0.1, 123) == 123
 
 
-def test_transfer_noop_ticks_requires_static_slots_contract():
-    session = _fresh_session()
-    session.run(5.0)  # get past INIT into steady streaming
-    player = session.player
-    assert player.manifest is not None
-    player.scheduler.slots_static_while_busy = False
-    assert player.transfer_noop_ticks(0.1, 100) == 0
-
-
 def test_fast_forward_session_matches_on_constant_schedule():
     serial = run_session(
         "S1", ConstantSchedule(mbps(2.5)), duration_s=90.0, engine="tick"
