@@ -2,12 +2,14 @@
 
 Times ``run_fleet`` at N in {50, 200, 1000} clients on one cell and
 writes ``benchmarks/BENCH_fleet.json`` as a regression baseline.  The
-quantity of interest is *per-client wall cost*: a dispatched tick runs
-a full player tick only for the clients it touches (DESIGN.md §4l),
-and the link plans each tick with one water-fill over the busy flows
-(a few passes over a list, DESIGN.md §4p), so cost per client must
-stay roughly flat — asserted as "no worse than linear in N with
-generous slack".
+quantity of interest is *per-client wall cost*: a dispatched tick
+visits only the clients it touches, the others catch up when next read
+(DESIGN.md §4l), the link plans each tick with one water-fill over the
+busy flows (a few passes over a list, DESIGN.md §4p), and a finished
+cell is freed by reference counting, not by full collections that walk
+every live client (DESIGN.md §4t), so cost per client must stay
+roughly flat — asserted as "no worse than linear in N with generous
+slack".
 
 Also gates the tentpole's headline claim directly: a 1000-client fleet
 completes in one process.
@@ -54,7 +56,7 @@ def _run_scaling():
         outcome = run_fleet(_fleet_spec(clients))
         wall = time.perf_counter() - start
         rows.append({
-            "clients": clients,
+            "clients": outcome.population.clients,
             "wall_s": wall,
             "per_client_ms": wall / clients * 1e3,
             "arrived": outcome.population.arrived,
@@ -70,11 +72,12 @@ def test_fleet_scaling(benchmark, show):
     rows = once(benchmark, _run_scaling)
 
     # The 1000-client fleet completed in one process with everyone
-    # accounted for.
+    # accounted for: a record per client, some arrived, and none
+    # departed without arriving.
     biggest = rows[-1]
     assert biggest["clients"] == 1000
-    assert biggest["arrived"] + 0 == 1000 or biggest["arrived"] <= 1000
     assert biggest["arrived"] > 0
+    assert biggest["departed"] <= biggest["arrived"]
 
     # Per-client cost no worse than linear in N: if each tick were
     # quadratic in the population, per-client cost would grow ~N-fold;

@@ -20,7 +20,14 @@ players for both, and two loops run them (DESIGN.md §4q):
   :class:`~repro.core.event_queue.EventQueue` — each client's wake,
   the churn instants and the fault plane's change points — and the
   clock advances event to event, executing a serial tick only at
-  event instants.
+  event instants.  A dispatched tick visits only the clients it
+  touches; the others, and every player through a batched window, sit
+  the ticks out behind the clock and replay them when their state is
+  next read (``Player.catch_up``).
+
+When either loop ends, it catches every client on the link up and
+detaches the jobs still in flight, so a finished cell holds no
+reference cycle and reference counting frees it (DESIGN.md §4t).
 
 Byte identity with the oracle is non-negotiable, and it pins the
 design.  The oracle accumulates floats per tick (``pos += dt``,
@@ -29,7 +36,8 @@ so a closed-form jump would land on different ulps: batched windows
 are *replayed* through the per-tick primitives ``Network.advance_many``
 and ``Player.apply_noop_ticks``, which run the identical arithmetic
 without the per-tick decisions, reading tick instants from the
-clock's shared timeline (``net/clock.py``).  Event instants run the
+clock's shared timeline (``net/clock.py``), a player's long after the
+clock took them.  Event instants run the
 oracle's tick body.  Dispatch labels are read after the tick, so they
 cannot perturb it.  A window ends only where the simulation must
 react (DESIGN.md §4n): segment starts and capacity steps replay inside
@@ -264,6 +272,7 @@ class MultiSession:
             self.ticks_executed += 1
             if self._all_done():
                 break
+        self._end_run()
         return self._finish()
 
     def record_loop_metrics(self, metrics: MetricsRegistry) -> None:
@@ -302,6 +311,7 @@ class MultiSession:
                 continue
             departure = self.departures[index]
             if departure is not None and now >= departure - 1e-9:
+                self.players[index].catch_up()
                 self._retire(index, now)
                 changed = True
         if changed:
@@ -326,6 +336,23 @@ class MultiSession:
             if connection in self.network.connections:
                 self.network.drop_connection(connection)
         self._retired[index] = True
+
+    def _end_run(self) -> None:
+        """Bring every client on the link up to the clock, then drop the
+        callbacks still in flight (DESIGN.md §4t).
+
+        The event loop leaves bystanders behind the clock, and a run may
+        end with jobs in flight: a departed client's, whose parts
+        ``_retire`` tore down, or any client's when the horizon comes.
+        Each such job and its player refer to each other, so detaching
+        them leaves the finished cell free of cycles, and reference
+        counting frees it.
+        """
+        players = self.players
+        for index in self._active:
+            players[index].catch_up()
+        for player in players:
+            player.scheduler.detach()
 
     def _all_done(self) -> bool:
         """The cell's end rule: every arrived, unretired client has ended
@@ -430,13 +457,14 @@ class EventDrivenMultiSession(MultiSession):
     dispatched tick runs ``network.advance`` for the cell, then a full
     ``player.advance`` only for the clients it *touches* (see
     :meth:`_dispatch_tick`); every other client sits inside the no-op
-    window its own wake certified and replays the tick with
-    ``apply_noop_ticks(1)``.  Producers are refreshed for the touched
-    clients only, so per-dispatch bookkeeping scales with them, not
-    with the cell.  Batched windows replay through the identical
-    primitives (``Network.advance_many`` over the shared link,
-    per-player ``apply_noop_ticks``), keeping results byte-identical to
-    the tick loop.
+    window its own wake certified and is left behind the clock.
+    Producers are refreshed for the touched clients only, so
+    per-dispatch bookkeeping scales with them, not with the cell.
+    Batched windows run ``Network.advance_many`` over the shared link
+    and leave every player behind.  A player replays the ticks it sat
+    out with one ``apply_noop_ticks`` when its state is next read
+    (``Player.catch_up``), keeping results byte-identical to the tick
+    loop.
 
     Its accounting lands in the tick counters (``ticks_executed`` =
     dispatched ticks, ``fast_forwarded_ticks`` /
@@ -514,6 +542,7 @@ class EventDrivenMultiSession(MultiSession):
                 continue
             if self._batch_to(min(next_t, limit), limit, dt):
                 break
+        self._end_run()
         return self._finish()
 
     # -- static producers --------------------------------------------------
@@ -569,15 +598,16 @@ class EventDrivenMultiSession(MultiSession):
         ``carried`` says whether it moved any).  After the network
         step a client is *touched* — runs a full ``player.advance`` —
         when its wake was popped at this instant or it has none (it
-        just arrived), when its scheduler's ``completed_parts`` moved
-        since its last full tick (a completion, abort, reset or failure
-        fired in this tick's network step), or when a fault change
-        point popped.  Any other client's wake lies strictly in the
-        future, so this tick falls inside the no-op window its margin
-        contract certified, where ``apply_noop_ticks(1)`` is
-        bit-identical to ``advance``.  The replay is eager, in client
-        order: completion callbacks read player state, so no client
-        may lag behind the clock.  A single session's one client is
+        just arrived), when its scheduler's
+        ``completed_parts`` moved since its last full tick (a
+        completion, abort, reset or failure fired in this tick's
+        network step), or when a fault change point popped.  The loop
+        visits no other client: its wake lies strictly in the future,
+        so this tick falls inside the no-op window its margin contract
+        certified, and it replays the tick when its state is next read
+        (``Player.catch_up``).  A completion handler catches its player
+        up before it reads it, and the loop does before it reads a
+        touched client's signature.  A single session's one client is
         touched on every dispatch.
         """
         now = self.clock.now
@@ -602,9 +632,9 @@ class EventDrivenMultiSession(MultiSession):
             if player.scheduler.completed_parts != parts_seen[index]:
                 before.append(None)  # labelled transfer_complete anyway
             elif everyone or wake is None or wake.cancelled:
+                player.catch_up()
                 before.append(_signature(player))
             else:
-                player.apply_noop_ticks(1, dt)
                 continue
             player.advance(dt)
             touched.append(index)
@@ -719,18 +749,19 @@ class EventDrivenMultiSession(MultiSession):
     # -- batched windows ---------------------------------------------------
 
     def _batch_to(self, target: float, limit: float, dt: float) -> bool:
-        """Replay the certified no-op window ending at ``target``.
+        """Run the certified no-op window ending at ``target``.
 
         The window covers every tick that starts before ``target`` (the
         same ``int(...)`` truncation as the margin contracts).  Nothing
         is re-derived per round: wakes are absolute deadlines, valid
         until the next dispatch, and fault and churn instants are queue
-        entries, so ``target`` already stops short of them.  Every
-        player replays its own no-op ticks against the shared clock.
-        A transfer window that ends on a completing tick replays the
-        ticks before it — clock, radio and players — and then
-        dispatches that tick, so its completions fire at its start with
-        every player caught up, as in the oracle.  Returns True when a
+        entries, so ``target`` already stops short of them.  The window
+        moves the link, the radio and the clock; every player sits it
+        out and replays it when next read (``Player.catch_up``).  A
+        transfer window that ends on a completing tick runs the ticks
+        before it and then dispatches that tick, so its completions
+        fire at its start, and each completion handler catches its
+        player up first, as in the oracle.  Returns True when a
         dispatch ended the session.
         """
         clock = self.clock
@@ -744,7 +775,6 @@ class EventDrivenMultiSession(MultiSession):
             ticks = remaining
         if ticks < 1:
             return self._dispatch_tick(dt)
-        players = [self.players[index] for index in self._active]
         rrc = self.rrc
         if self.network.steady_for_batching():
             executed, activity, reason, completed = (
@@ -759,8 +789,6 @@ class EventDrivenMultiSession(MultiSession):
                 executed -= 1
                 carried = activity.pop()
             if executed:
-                for player in players:
-                    player.apply_noop_ticks(executed, dt)
                 if rrc is not None:
                     rrc.observe_many(activity, dt)
                 clock.advance(executed)
@@ -773,28 +801,31 @@ class EventDrivenMultiSession(MultiSession):
         # With no transfer on the link, no active client has a job in
         # flight (the scheduler's invariant, DESIGN.md §4q), the
         # network moves no bytes and connection control is a no-op (the
-        # idle-jump argument, DESIGN.md §4a): players replay playhead
+        # idle-jump argument, DESIGN.md §4a): the players owe playhead
         # and UI only, the radio observes idle ticks, network.advance
         # is skipped.
-        for player in players:
-            player.apply_noop_ticks(ticks, dt)
         if rrc is not None:
             rrc.observe_many(itertools.repeat(False, ticks), dt)
         clock.advance(ticks)
         self.fast_forwarded_ticks += ticks
         self.fast_forward_jumps += 1
-        playing = all(
-            player.state is PlayerState.PLAYING for player in players
-        )
-        self._emit_jump(now, "idle" if playing else "stalled", ticks,
-                        "player_wake")
+        self._emit_jump(now, None, ticks, "player_wake")
         return False
 
     def _emit_jump(
-        self, start: float, layer: str, ticks: int, bound: str
+        self, start: float, layer: Optional[str], ticks: int, bound: str
     ) -> None:
+        """Trace a batched window; an idle one (``layer`` None) is
+        ``idle`` when every active client is playing, else ``stalled``."""
         tracer = self.tracer
         if tracer.enabled:
+            if layer is None:
+                players = self.players
+                playing = all(
+                    players[index].state is PlayerState.PLAYING
+                    for index in self._active
+                )
+                layer = "idle" if playing else "stalled"
             tracer.emit(
                 EventJump(
                     at=start,

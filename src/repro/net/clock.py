@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from repro.util import check_positive
 
@@ -48,7 +49,11 @@ class Clock:
     ``now`` only moves forward via :meth:`tick` and :meth:`advance`, in
     steps of ``dt`` seconds.  All components read the same clock so
     there is a single notion of time per session.  The start time is
-    the timeline's origin.
+    the timeline's origin.  ``ticks`` counts the steps taken: tick ``i``
+    starts at the instant ``i`` steps reach, and :meth:`starts` reads
+    those instants back for ticks already taken too, which is how a
+    player the event loop left behind replays the ticks it sat out
+    (``Player.catch_up``).
     """
 
     dt: float = 0.1
@@ -56,26 +61,34 @@ class Clock:
 
     def __post_init__(self) -> None:
         check_positive("dt", self.dt)
+        self.ticks = 0
         self._rebase()
 
     def _rebase(self) -> None:
-        # The cursor: ``now`` is ``_chunk[_taken - 1]``, or the origin
-        # ``_chunk`` was keyed by when ``_taken`` is 0.  ``_at`` is the
-        # ``now`` the cursor was taken at.
-        self._chunk = tick_chunk(self.dt, self.now)
-        self._taken = 0
-        self._at = self.now
+        # The timeline from ``now``: ``_chunks[j]`` holds the instants
+        # steps ``j * CHUNK_TICKS + 1`` to ``(j + 1) * CHUNK_TICKS``
+        # after the origin reach, and ``_first`` is the tick count at the
+        # origin.  ``_at`` is the ``now`` the timeline last set.
+        self._origin = self._at = self.now
+        self._first = self.ticks
+        self._chunks = [tick_chunk(self.dt, self.now)]
 
-    def _seek(self, ticks: int) -> tuple[tuple[float, ...], int]:
-        """The cursor ``ticks`` steps ahead, one memo hit per chunk."""
+    def _step(self, ticks: int) -> int:
+        """Steps from the origin to tick ``self.ticks + ticks``'s start."""
         if self.now is not self._at:
             self._rebase()  # ``now`` was set from outside: a new origin
-        chunk = self._chunk
-        taken = self._taken + ticks
-        while taken > CHUNK_TICKS:
-            chunk = tick_chunk(self.dt, chunk[-1])
-            taken -= CHUNK_TICKS
-        return chunk, taken
+        return self.ticks - self._first + ticks
+
+    def _instant(self, step: int) -> float:
+        """The instant ``step`` steps after the origin, one memo hit per
+        chunk the timeline grows by."""
+        if not step:
+            return self._origin
+        chunk, offset = divmod(step - 1, CHUNK_TICKS)
+        chunks = self._chunks
+        while chunk >= len(chunks):
+            chunks.append(tick_chunk(self.dt, chunks[-1][-1]))
+        return chunks[chunk][offset]
 
     def tick(self) -> float:
         """Advance one step and return the new time."""
@@ -90,31 +103,41 @@ class Clock:
         if ticks < 0:
             raise ValueError(f"ticks must be >= 0, got {ticks}")
         if ticks:
-            chunk, taken = self._seek(ticks)
-            self._chunk = chunk
-            self._taken = taken
-            self.now = self._at = chunk[taken - 1]
+            step = self._step(ticks)
+            self.ticks += ticks
+            self.now = self._at = self._instant(step)
         return self.now
 
     def ahead(self, ticks: int) -> float:
         """The time ``ticks`` steps after ``now``; the clock stays put."""
         if not ticks:
             return self.now
-        chunk, taken = self._seek(ticks)
-        return chunk[taken - 1]
+        return self._instant(self._step(ticks))
 
-    def starts(self, ticks: int) -> list[float]:
-        """The start times of the next ``ticks`` ticks, ``now`` first;
-        the clock stays put."""
+    def starts(self, ticks: int, first: Optional[int] = None) -> list[float]:
+        """The start times of ``ticks`` ticks from tick ``first`` (by
+        default the one starting ``now``); the clock stays put.
+
+        Ticks already taken are read back from the timeline, as far back
+        as its origin: setting ``now`` from outside starts a new one.
+        """
         if ticks <= 0:
             return []
-        chunk, taken = self._seek(0)
-        instants = [self.now]
-        end = taken + ticks - 1
-        while end > CHUNK_TICKS:
-            instants += chunk[taken:]
-            chunk = tick_chunk(self.dt, chunk[-1])
-            end -= CHUNK_TICKS
-            taken = 0
-        instants += chunk[taken:end]
+        step = self._step(0 if first is None else first - self.ticks)
+        if step < 0:
+            raise ValueError(f"tick {first} is before the timeline's origin")
+        # Flat indexes into the chunks; -1 is the origin.
+        low = step - 1
+        high = low + ticks
+        instants = []
+        if low < 0:
+            instants.append(self._origin)
+            low = 0
+        self._instant(high)
+        chunks = self._chunks
+        while low < high:
+            chunk, offset = divmod(low, CHUNK_TICKS)
+            end = min(offset + high - low, CHUNK_TICKS)
+            instants += chunks[chunk][offset:end]
+            low += end - offset
         return instants

@@ -177,10 +177,18 @@ class Network:
         """Fire the completion callbacks of ``completed``, in order: the
         transfers one tick completed, in busy order (:meth:`advance` for
         its own tick, the event loop for the tick that ends a batched
-        window), or the transfer :meth:`abort_transfer` tore down."""
+        window), or the transfer :meth:`abort_transfer` tore down.
+
+        A callback fires once and is dropped: it closes over the request
+        and, through the scheduler's part callback, over the job that
+        holds this transfer, so keeping it would leave every finished
+        request in a reference cycle (DESIGN.md §4t).
+        """
         for transfer in completed:
-            if transfer.on_complete is not None:
-                transfer.on_complete(transfer)
+            on_complete = transfer.on_complete
+            if on_complete is not None:
+                transfer.on_complete = None
+                on_complete(transfer)
 
     def metrics_into(self, metrics) -> None:
         """Record transport-level totals into a metrics registry.

@@ -189,6 +189,10 @@ class Player:
         self._next_ui_at = 0.0
         self._content_end: float | None = None
         self._ever_started = False
+        # The next tick this player takes, on the clock's count: None
+        # until its first advance, behind the clock's while the event
+        # loop leaves it out of ticks (catch_up).
+        self._tick: int | None = None
         # id(timeline) -> (timeline, its end_s - _EPS list, or None when
         # those ends decrease somewhere); holding the timeline keeps its
         # id from being reused.  See _index_covering.
@@ -283,12 +287,36 @@ class Player:
     # -- main loop ------------------------------------------------------------
 
     def advance(self, dt: float) -> None:
-        """One simulation tick (call after the network moved its bytes)."""
+        """One simulation tick (call after the network moved its bytes).
+
+        A player left behind the clock first replays the ticks it sat
+        out (:meth:`catch_up`); its first advance starts it on the
+        clock's current tick.
+        """
+        self.catch_up()
+        self._tick = self.clock.ticks + 1
         if self.state is not PlayerState.ENDED:
             self._advance_playback(dt)
         self._emit_ui_samples()
         if self.state is not PlayerState.ENDED:
             self._advance_fetching()
+
+    def catch_up(self) -> None:
+        """Replay, as no-op ticks, the ticks the clock took without us.
+
+        The event loop runs a full :meth:`advance` only for the clients
+        a dispatch touches, and leaves every other one behind the clock,
+        inside the no-op window its own wake certified (DESIGN.md §4l).
+        Whatever reads the player's state catches it up first: its
+        :meth:`advance`, its two job-completion handlers, and the loop
+        before it reads a signature, retires the client or builds the
+        results.  One :meth:`apply_noop_ticks` call replays every tick
+        missed; a player not yet advanced has none.
+        """
+        if self._tick is not None:
+            behind = self.clock.ticks - self._tick
+            if behind > 0:
+                self.apply_noop_ticks(behind, self.clock.dt)
 
     # -- no-op margin contracts (the event engine's windows) ------------------
 
@@ -606,8 +634,10 @@ class Player:
         return self._ticks_within(margins, dt, max_ticks)
 
     def apply_noop_ticks(self, count: int, dt: float) -> None:
-        """Replay ``count`` no-op ticks in one call (caller ticks the clock).
+        """Replay this player's next ``count`` ticks as no-ops, in one call.
 
+        They are the ticks it sat out behind the clock (:meth:`catch_up`)
+        or, when the caller ticks the clock afterwards, the next ones.
         Bit-identical to ``count`` serial ``advance`` calls within a
         window vetted by :meth:`idle_noop_ticks` or
         :meth:`transfer_noop_ticks`: when PLAYING the position
@@ -624,6 +654,9 @@ class Player:
         """
         if count <= 0:
             return
+        clock = self.clock
+        first = clock.ticks if self._tick is None else self._tick
+        self._tick = first + count
         pos = self._play_pos
         next_ui = self._next_ui_at
         samples = self.ui_samples
@@ -631,7 +664,7 @@ class Player:
         if advancing:
             video = self.buffers[StreamType.VIDEO]
             cover_end = video.cover_end(pos)
-        for t in self.clock.starts(count):
+        for t in clock.starts(count, first):
             if advancing:
                 pos += dt
                 if pos >= cover_end:
@@ -1193,6 +1226,7 @@ class Player:
     # -- completion handlers -------------------------------------------------
 
     def _on_metadata_complete(self, job: FetchJob, result: JobResult) -> None:
+        self.catch_up()
         if job.kind is JobKind.MANIFEST:
             if not result.success or result.text is None:
                 self._manifest_requested = False
@@ -1231,6 +1265,7 @@ class Player:
             self._content_end = timeline[-1].end_s
 
     def _on_segment_complete(self, job: FetchJob, result: JobResult) -> None:
+        self.catch_up()
         now = self.clock.now
         stream = job.stream_type
         assert job.index is not None and job.level is not None

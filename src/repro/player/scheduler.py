@@ -72,7 +72,8 @@ class FetchJob:
     kind: JobKind
     stream_type: StreamType
     url: str
-    on_complete: Callable[["FetchJob", JobResult], None]
+    # None once a finished run detached the job (Scheduler.detach).
+    on_complete: Optional[Callable[["FetchJob", JobResult], None]]
     byte_range: tuple[int, int] | None = None
     index: int | None = None
     level: int | None = None
@@ -193,6 +194,22 @@ class Scheduler:
         for connection, transfer in list(job._transfers):
             if connection.transfer is transfer:
                 self.network.abort_transfer(connection)
+
+    def detach(self) -> None:
+        """Drop the callbacks of the jobs still in flight and their parts.
+
+        A job in flight and its player refer to each other (its
+        ``on_complete`` is a player method), and so do the job and each
+        part it issued (the part's callback closes over the job), torn
+        down or still on the wire.  A finished run detaches them, so its
+        graph holds no cycle and reference counting frees it (DESIGN.md
+        §4t); the jobs stay counted in flight, and none completes.
+        """
+        for jobs in self._inflight.values():
+            for job in jobs:
+                job.on_complete = None
+                for _, transfer in job._transfers:
+                    transfer.on_complete = None
 
     def _register(self, job: FetchJob) -> None:
         job.submitted_at = self.network.clock.now
